@@ -26,6 +26,7 @@ from .gp import (
     KernelParams,
     NumericsError,
     fit,
+    posterior_mean,
     posterior_predict_batch,
     update,
 )
@@ -248,8 +249,7 @@ def run(config: RunConfig) -> TrialRecord:
     for t in range(1, T + 1):
         try:
             if config.incumbent_mode == "posterior":
-                mu_obs, _ = posterior_predict_batch(gp, gp.inputs)
-                mu_plus = float(mu_obs.max())
+                mu_plus = float(posterior_mean(gp, gp.inputs).max())
             else:
                 mu_plus = float(gp.outputs.max())
 
@@ -289,7 +289,7 @@ def run(config: RunConfig) -> TrialRecord:
                 )
                 var_prev_ucb[t - 1] = ucb_var[0]
             if config.reward_mode == "lagged":
-                reward_mean, _ = posterior_predict_batch(gp, nominees_unit[t - 1])
+                reward_mean = posterior_mean(gp, nominees_unit[t - 1])
 
             x_raw = domain.from_unit(x_unit)
             y_t, f_t = _observe(objective, x_raw, noise_std, rng_noise)
@@ -302,7 +302,7 @@ def run(config: RunConfig) -> TrialRecord:
             gp = update(gp, x_unit, (y_t - shift) / scale)
 
             if config.reward_mode == "updated":
-                reward_mean, _ = posterior_predict_batch(gp, nominees_unit[t - 1])
+                reward_mean = posterior_mean(gp, nominees_unit[t - 1])
             rewards[t - 1] = reward_mean * scale + shift
             bandit = observe(bandit, rewards[t - 1], j)
             gains[t - 1] = bandit.gains

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
 
 JITTER_INITIAL = 1e-10
@@ -204,16 +205,29 @@ def update(state: GpState, x, y: float) -> GpState:
     )
 
 
+def _cross_and_mean(state: GpState, x) -> tuple[np.ndarray, np.ndarray]:
+    queries = np.asarray(x, dtype=float).reshape(-1, state.dimension)
+    cross = kernel_matrix(state.inputs, queries, state.kernel)
+    return cross, cross.T @ state.alpha
+
+
+def posterior_mean(state: GpState, x) -> np.ndarray:
+    """Posterior means at row-stacked points, bit-identical to the means of
+    :func:`posterior_predict_batch` without paying for the variances."""
+    return _cross_and_mean(state, x)[1]
+
+
 def posterior_predict_batch(state: GpState, x) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and (clamped, noise-free) variances at row-stacked points."""
-    queries = np.asarray(x, dtype=float).reshape(-1, state.dimension)
+    cross, mean = _cross_and_mean(state, x)
     prior = state.kernel.signal_variance
     if state.count == 0:
-        n = queries.shape[0]
-        return np.zeros(n), np.full(n, prior)
-    cross = kernel_matrix(state.inputs, queries, state.kernel)
-    mean = cross.T @ state.alpha
-    v = solve_triangular(state.chol, cross, lower=True, check_finite=False)
+        return mean, np.full(mean.size, prior)
+    # The call scipy's solve_triangular makes for a C-ordered lower factor,
+    # without its per-call argument handling.
+    v, info = dtrtrs(state.chol.T, cross, lower=0, trans=1)
+    if info != 0:
+        raise NumericsError(f"triangular solve failed (LAPACK info {info})")
     variance = prior - np.einsum("ij,ij->j", v, v)
     np.maximum(variance, 0.0, out=variance)
     return mean, variance

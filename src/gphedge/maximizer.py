@@ -104,30 +104,46 @@ def grid_candidates(domain: BoxDomain, count: int, seed: int) -> np.ndarray:
 
 
 def _potentially_optimal(measures, values, best):
-    """Indices of one rectangle per measure class on the lower Lipschitz envelope."""
+    """Indices of one rectangle per measure class on the lower Lipschitz envelope.
+
+    Each class is represented by its lowest value, ties going to the lowest
+    index.  Class i is kept when k_lo <= k_hi, where k_lo is the steepest
+    slope from a smaller class (0 for the smallest) and k_hi the shallowest
+    slope to a larger one, and when its envelope intercept at slope k_hi
+    lies at least eps*|best| below ``best``.  The result is in increasing
+    order of measure.
+    """
     classes = np.unique(measures)
-    reps = np.empty(classes.size, dtype=int)
-    for i, m in enumerate(classes):
-        members = np.flatnonzero(measures == m)
-        reps[i] = members[np.argmin(values[members])]
+    members = np.searchsorted(classes, measures)
+    class_min = np.full(classes.size, math.inf)
+    np.minimum.at(class_min, members, values)
+    at_min = np.flatnonzero(values == class_min[members])
+    reps = np.full(classes.size, measures.size)
+    np.minimum.at(reps, members[at_min], at_min)
     rep_vals = values[reps]
-    selected = []
-    for i in range(classes.size):
-        d_i, f_i = classes[i], rep_vals[i]
-        smaller = slice(0, i)
-        larger = slice(i + 1, classes.size)
-        k_lo = 0.0
-        if i > 0:
-            k_lo = np.max((f_i - rep_vals[smaller]) / (d_i - classes[smaller]))
-        k_hi = math.inf
-        if i + 1 < classes.size:
-            k_hi = np.min((rep_vals[larger] - f_i) / (classes[larger] - d_i))
-        if k_lo > k_hi:
-            continue
-        if math.isfinite(k_hi) and f_i - k_hi * d_i > best - _ENVELOPE_EPS * abs(best):
-            continue
-        selected.append(reps[i])
-    return selected
+    # slopes[i, j] = (f_i - f_j) / (d_i - d_j), used only for j < i.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = (rep_vals[:, None] - rep_vals) / (classes[:, None] - classes)
+    below = np.tri(classes.size, k=-1, dtype=bool)
+    k_lo = np.max(np.where(below, slopes, -math.inf), axis=1)
+    k_lo[0] = 0.0
+    k_hi = np.min(np.where(below, slopes, math.inf), axis=0)
+    intercept = rep_vals - k_hi * classes
+    keep = ~(k_lo > k_hi) & ~(
+        np.isfinite(k_hi) & (intercept > best - _ENVELOPE_EPS * abs(best))
+    )
+    return reps[keep]
+
+
+def _half_diagonal(levels: np.ndarray) -> np.ndarray:
+    """Half the diagonal of rectangles trisected ``levels`` times per side."""
+    return 0.5 * np.linalg.norm(3.0 ** (-levels.astype(float)), axis=1)
+
+
+def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
+    out = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
+    out[: array.shape[0]] = array
+    return out
 
 
 def _direct_minimize(g, dimension: int, budget: int):
@@ -138,51 +154,66 @@ def _direct_minimize(g, dimension: int, budget: int):
     rectangle per measure class, trisecting along every longest dimension in
     order of the best probe values.  The sweep in progress always completes,
     so a larger budget strictly extends a smaller one.
+
+    Rectangles live in arrays that double when full; a measure is computed
+    when its rectangle's levels change.  A sweep's probes go to ``g`` as one
+    batch, rectangle by rectangle in increasing measure and, within one, by
+    ascending dimension, the lower point of each pair first.  New rectangles
+    are appended in split order.
     """
-    center = np.full(dimension, 0.5)
-    centers = [center]
-    levels = [np.zeros(dimension, dtype=int)]
-    values = [float(g(center[None, :])[0])]
-    evals = 1
-    while evals < budget:
-        level_arr = np.array(levels)
-        measure = 0.5 * np.linalg.norm(3.0 ** (-level_arr.astype(float)), axis=1)
-        value_arr = np.array(values)
-        selected = _potentially_optimal(measure, value_arr, value_arr.min())
-        if not selected:
+    capacity = budget + 2 * dimension
+    centers = np.empty((capacity, dimension))
+    levels = np.empty((capacity, dimension), dtype=int)
+    values = np.empty(capacity)
+    measures = np.empty(capacity)
+    centers[0] = 0.5
+    levels[0] = 0
+    values[0] = float(g(centers[:1])[0])
+    measures[:1] = _half_diagonal(levels[:1])
+    n = 1
+    while n < budget:
+        selected = _potentially_optimal(measures[:n], values[:n], values[:n].min())
+        if selected.size == 0:
             break
-        probes = []
-        plan = []
-        for r in selected:
-            lev = levels[r]
-            longest = np.flatnonzero(lev == lev.min())
-            delta = 3.0 ** (-(lev.min() + 1))
-            offset = len(probes)
-            for j in longest:
-                lo_pt = centers[r].copy()
-                hi_pt = centers[r].copy()
-                lo_pt[j] -= delta
-                hi_pt[j] += delta
-                probes.append(lo_pt)
-                probes.append(hi_pt)
-            plan.append((r, longest, delta, offset))
-        probe_arr = np.array(probes)
-        probe_vals = g(probe_arr)
-        evals += len(probes)
-        for r, longest, delta, offset in plan:
-            pair_vals = probe_vals[offset : offset + 2 * longest.size]
-            w = np.minimum(pair_vals[0::2], pair_vals[1::2])
-            order = longest[np.argsort(w, kind="stable")]
-            cur = levels[r].copy()
-            for j in order:
-                cur[j] += 1
-                pos = offset + 2 * int(np.flatnonzero(longest == j)[0])
-                for probe_idx in (pos, pos + 1):
-                    centers.append(probe_arr[probe_idx])
-                    levels.append(cur.copy())
-                    values.append(float(probe_vals[probe_idx]))
-            levels[r] = cur
-    return np.array(centers), np.array(values)
+        lev = levels[selected]
+        shortest = lev.min(axis=1)
+        longest = lev == shortest[:, None]
+        counts = longest.sum(axis=1)
+        rect, dim = np.nonzero(longest)
+        pairs = np.arange(rect.size)
+        probes = np.repeat(centers[selected], 2 * counts, axis=0)
+        delta = (3.0 ** (-(shortest + 1)))[rect]
+        probes[2 * pairs, dim] -= delta
+        probes[2 * pairs + 1, dim] += delta
+        probe_vals = g(probes)
+
+        # Split each rectangle along its dimensions in order of the pair's
+        # better value (ties by dimension); each new pair of rectangles has
+        # the levels reached right after its own split.
+        split = np.lexsort((np.minimum(probe_vals[0::2], probe_vals[1::2]), rect))
+        steps = np.zeros((rect.size, dimension), dtype=int)
+        steps[pairs, dim[split]] = 1
+        reached = np.cumsum(steps, axis=0)
+        starts = np.cumsum(counts) - counts
+        reached -= np.repeat(reached[starts] - steps[starts], counts, axis=0)
+        levels[selected] = lev + longest
+        measures[selected] = _half_diagonal(levels[selected])
+
+        count = 2 * rect.size
+        if n + count > capacity:
+            capacity = 2 * (n + count)
+            centers, levels, values, measures = (
+                _grown(a, capacity) for a in (centers, levels, values, measures)
+            )
+        take = np.repeat(2 * split, 2)
+        take[1::2] += 1
+        new = slice(n, n + count)
+        centers[new] = probes[take]
+        values[new] = probe_vals[take]
+        levels[new] = np.repeat(np.repeat(lev, counts, axis=0) + reached, 2, axis=0)
+        measures[new] = _half_diagonal(levels[new])
+        n += count
+    return centers[:n], values[:n]
 
 
 def _pattern_search(g, starts: np.ndarray, steps: int):

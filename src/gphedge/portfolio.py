@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gp import GpState, posterior_predict
+from .gp import GpState, NumericsError, posterior_predict
 
 STRATEGIES = ("hedge", "exp3", "normalhedge", "uniform")
 
@@ -151,15 +151,24 @@ def update_hedge(state: PortfolioState, rewards) -> PortfolioState:
 
 
 def update_exp3(state: PortfolioState, chosen: int, reward: float) -> PortfolioState:
-    """Partial-information update: the chosen arm receives reward / p_hat."""
+    """Partial-information update: the chosen arm receives reward / p.
+
+    ``p`` is the gamma-mixed probability :func:`select_arm` sampled with, so
+    the estimate is unbiased and bounded by reward * N / gamma (Auer et al.
+    2002); the inner Hedge probability can underflow, this one cannot.
+    """
     if not 0 <= chosen < state.arms:
         raise ValueError(f"chosen arm {chosen} out of range")
     if not math.isfinite(reward):
         raise ValueError("reward must be finite")
-    p_hat = _softmax(state.gains, _learning_rate(state))
-    assert p_hat[chosen] > 0.0, "inner Hedge probability underflowed to zero"
+    p = float(probabilities(state)[chosen])
+    gain = float(state.gains[chosen]) + reward / p
+    if not math.isfinite(gain):
+        raise NumericsError(
+            f"Exp3 gain of arm {chosen} is {gain!r} at sampling probability {p!r}"
+        )
     gains = state.gains.copy()
-    gains[chosen] += reward / p_hat[chosen]
+    gains[chosen] = gain
     return replace(state, gains=gains, t=state.t + 1)
 
 

@@ -229,3 +229,20 @@ def test_cli_reports_failures_with_nonzero_exit(tmp_path, monkeypatch, capsys):
     )
     assert main(["run", str(config_path)]) == 1
     assert "boom" in capsys.readouterr().err
+
+
+def test_exp3_runs_a_hundred_iterations_on_branin():
+    config = ExperimentConfig(
+        objective="branin",
+        strategies=("exp3-9",),
+        trials=1,
+        iterations=100,
+        seed=3,
+        noise_variance=1e-4,
+        maximizer=MaximizerConfig(direct_budget=60),
+    )
+    table = run_experiment(config)
+    assert table.failures == {}
+    record = table.records[("exp3-9", 0)]
+    assert np.all(np.isfinite(record.gains))
+    assert np.all(record.probs >= 0.1 / 9 - 1e-15)

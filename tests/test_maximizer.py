@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
@@ -7,6 +10,7 @@ from gphedge.maximizer import (
     BoxDomain,
     MaximizerConfig,
     _direct_minimize,
+    _potentially_optimal,
     grid_candidates,
     latin_hypercube,
     maximize,
@@ -173,3 +177,93 @@ def test_value_beats_direct_samples_and_scipy_local_refinement():
         method="Nelder-Mead",
     )
     assert value >= -refined.fun - 1e-2
+
+
+# Oracle functions for the frozen DIRECT samples.  They use only + - * /,
+# abs and floor, which are exact or correctly rounded everywhere; NumPy's
+# SIMD sin/cos/exp differ between CPUs and would make the frozen data
+# machine-specific.  Columns are summed one at a time for the same reason.
+def _staircase(u):
+    total = np.zeros(u.shape[0])
+    for j in range(u.shape[1]):
+        total = total + np.floor((j + 3) * u[:, j]) / (j + 3)
+    return total
+
+
+def _constant(u):
+    return np.full(u.shape[0], 1.25)
+
+
+def _quadratic(u):
+    total = np.zeros(u.shape[0])
+    for j in range(u.shape[1]):
+        c = 0.2 + 0.15 * j
+        total = total + (j + 1) * (u[:, j] - c) * (u[:, j] - c)
+    return total
+
+
+def _valley(u):
+    total = np.zeros(u.shape[0])
+    for j in range(u.shape[1]):
+        total = total + abs(u[:, j] - 0.61) / (j + 1) - 0.25 * np.floor(2 * u[:, j])
+    return total
+
+
+DIRECT_ORACLE = Path(__file__).with_name("direct_oracle.json")
+ORACLE_FUNCTIONS = {
+    "staircase": _staircase,
+    "constant": _constant,
+    "quadratic": _quadratic,
+    "valley": _valley,
+}
+ORACLE_BUDGETS = {1: 30, 2: 80, 3: 100, 5: 150}
+
+
+def direct_oracle_samples() -> dict:
+    """Every (function, dimension) case's DIRECT centers and values."""
+    cases = {}
+    for name, fn in ORACLE_FUNCTIONS.items():
+        for d, budget in ORACLE_BUDGETS.items():
+            centers, values = _direct_minimize(fn, d, budget)
+            cases[f"{name}-{d}"] = {
+                "centers": centers.tolist(),
+                "values": values.tolist(),
+            }
+    return cases
+
+
+def test_direct_samples_match_frozen_oracle():
+    expected = json.loads(DIRECT_ORACLE.read_text())
+    actual = direct_oracle_samples()
+    assert actual.keys() == expected.keys()
+    for key, case in expected.items():
+        assert actual[key]["values"] == case["values"], key
+        assert actual[key]["centers"] == case["centers"], key
+
+
+def test_potentially_optimal_single_class_picks_its_lowest_value():
+    measures = np.full(4, 0.5)
+    values = np.array([3.0, 1.0, 2.0, 1.0])
+    assert list(_potentially_optimal(measures, values, 1.0)) == [1]
+
+
+def test_potentially_optimal_all_values_equal():
+    # A flat envelope through every class: all but the largest class reach
+    # the best value, which the relative margin rules out.
+    measures = np.array([0.1, 0.3, 0.3, 0.2, 0.1])
+    values = np.full(5, 2.0)
+    assert list(_potentially_optimal(measures, values, 2.0)) == [1]
+
+
+def test_potentially_optimal_best_zero_has_no_relative_margin():
+    # The margin is eps*|best|: at best == 0 it vanishes, so a class whose
+    # envelope passes exactly through the best value is kept.
+    measures = np.array([0.1, 0.2])
+    assert list(_potentially_optimal(measures, np.zeros(2), 0.0)) == [0, 1]
+    assert list(_potentially_optimal(measures, np.full(2, -1.0), -1.0)) == [1]
+
+
+def test_potentially_optimal_equal_values_across_classes_ties_to_lowest_index():
+    measures = np.array([0.2, 0.1, 0.2, 0.1, 0.4])
+    values = np.array([-1.0, -2.0, -1.0, -2.0, -1.0])
+    assert list(_potentially_optimal(measures, values, -2.0)) == [1, 4]

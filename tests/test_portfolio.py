@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from gphedge.gp import KernelParams, fit, posterior_predict
+from gphedge.gp import KernelParams, NumericsError, fit, posterior_predict
 from gphedge.portfolio import (
     PortfolioState,
     new_portfolio,
@@ -108,14 +108,40 @@ def test_update_hedge_accumulates_and_validates():
         update_hedge(state, [0.0, 1.0])
 
 
-def test_update_exp3_importance_weights_by_inner_probability():
+def test_update_exp3_importance_weights_by_sampling_probability():
     state = PortfolioState(strategy="exp3", gains=np.array([0.4, 0.1]), eta=0.5)
-    eta = 0.5
+    eta, gamma = 0.5, state.exp3_gamma
     weights = np.exp(eta * (state.gains - state.gains.max()))
-    p_hat = weights / weights.sum()
+    p = (1.0 - gamma) * weights / weights.sum() + gamma / 2
+    assert np.array_equal(p, probabilities(state))
     updated = update_exp3(state, chosen=1, reward=0.3)
-    assert updated.gains[1] == approx(0.1 + 0.3 / p_hat[1], rel=1e-12)
+    assert updated.gains[1] == approx(0.1 + 0.3 / p[1], rel=1e-12)
     assert updated.gains[0] == 0.4
+
+
+def test_exp3_finishes_every_synthetic_reward_stream():
+    # The setting in which dividing by the inner Hedge probability made the
+    # gains run away until exp underflowed: 9 arms, T=400 and the eta the
+    # driver sets.  Weighting by the sampled probability bounds each gain
+    # step by N / gamma.
+    n, horizon = 9, 400
+    eta = math.sqrt(8.0 * math.log(n) / horizon)
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        state = new_portfolio("exp3", n, eta=eta)
+        means = rng.uniform(0.0, 1.0, size=n)
+        for _ in range(horizon):
+            chosen = select_arm(state, rng)
+            state = observe(state, means + 0.1 * rng.standard_normal(n), chosen)
+        assert state.t == horizon
+        assert np.all(np.isfinite(state.gains))
+        assert np.all(probabilities(state) >= state.exp3_gamma / n)
+
+
+def test_update_exp3_overflow_is_a_typed_error():
+    state = PortfolioState(strategy="exp3", gains=np.array([1e308, 0.0]), eta=1.0)
+    with pytest.raises(NumericsError, match="Exp3 gain"):
+        update_exp3(state, chosen=0, reward=1e308)
 
 
 def test_update_normalhedge_tracks_relative_regret():
