@@ -4,7 +4,7 @@
 Each case fits a GP to ``t`` points in ``d`` dimensions and maximizes EI over
 the unit box with the default budget (500 DIRECT evaluations per dimension
 plus pattern search), the inner problem every arm solves on every BO
-iteration.  A case's time is the median of ``--repeats`` calls after one
+iteration.  A case's time is the median of ``REPEATS`` calls after one
 warm-up call.  BLAS is pinned to one thread before NumPy loads.
 
 Run it once per checkout, under different labels, into the same file:
@@ -27,8 +27,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import ctypes  # noqa: E402
-import glob  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -36,8 +34,11 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+from openblas_build import openblas_string  # noqa: E402
+
 DIMENSIONS = (2, 6, 10)
 OBSERVATIONS = (10, 100, 400)
+REPEATS = 7
 
 
 def _git(src: Path, *args: str) -> str:
@@ -45,19 +46,6 @@ def _git(src: Path, *args: str) -> str:
         ["git", "-C", str(src), *args], capture_output=True, text=True, check=False
     )
     return proc.stdout.strip() if proc.returncode == 0 else ""
-
-
-def _openblas_core() -> str:
-    import numpy
-
-    libs_dir = Path(numpy.__file__).parent.parent / "numpy.libs"
-    for path in sorted(glob.glob(str(libs_dir / "libscipy_openblas*.so"))):
-        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
-        if fn is not None:
-            fn.argtypes = []
-            fn.restype = ctypes.c_char_p
-            return fn().decode()
-    return "unknown"
 
 
 def environment(src: Path) -> dict:
@@ -68,14 +56,15 @@ def environment(src: Path) -> dict:
         "cores": os.cpu_count(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "openblas_core": _openblas_core(),
+        "openblas_core": openblas_string(numpy, "scipy_openblas_get_corename64_")
+        or "unknown",
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
         "git_sha": _git(src, "rev-parse", "HEAD") or "unknown",
         "git_dirty": bool(_git(src, "status", "--porcelain", "--untracked-files=no")),
     }
 
 
-def time_case(d: int, t: int, repeats: int) -> dict:
+def time_case(d: int, t: int) -> dict:
     import numpy as np
     from gphedge.acquisitions import BetaSchedule, acquisition_values, ei
     from gphedge.gp import KernelParams, fit, posterior_predict_batch
@@ -102,7 +91,7 @@ def time_case(d: int, t: int, repeats: int) -> dict:
     maximize(utility, unit_box(d), config)
     points = sum(evaluated)
     seconds = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         maximize(utility, unit_box(d), config)
         seconds.append(time.perf_counter() - start)
@@ -120,7 +109,6 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, required=True, help="src directory of a checkout")
     parser.add_argument("--label", required=True, help="section name: before, after")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to update")
-    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
 
     src = args.src.resolve()
@@ -130,7 +118,7 @@ def main(argv=None) -> int:
     section = {"environment": environment(src), "cases": []}
     for d in DIMENSIONS:
         for t in OBSERVATIONS:
-            case = time_case(d, t, args.repeats)
+            case = time_case(d, t)
             ms = case["median_s"] * 1e3
             print(f"d={d:2d} t={t:3d}: {ms:8.1f} ms", file=sys.stderr)
             section["cases"].append(case)

@@ -14,9 +14,7 @@ output: ``python tests/test_golden_trace.py > tests/golden_trace.json``.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import glob
 import hashlib
 import json
 import os
@@ -79,20 +77,16 @@ def _openblas_configs() -> dict[str, str]:
     """Build and core strings of the OpenBLAS copies NumPy and SciPy bundle."""
     import numpy
     import scipy
+    from openblas_build import openblas_string
 
     found = {}
     for module, symbol in (
         (numpy, "scipy_openblas_get_config64_"),
         (scipy, "scipy_openblas_get_config"),
     ):
-        libs_dir = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
-        for path in sorted(glob.glob(str(libs_dir / "libscipy_openblas*.so"))):
-            fn = getattr(ctypes.CDLL(path), symbol, None)
-            if fn is None:
-                continue
-            fn.argtypes = []
-            fn.restype = ctypes.c_char_p
-            found[module.__name__] = fn().decode()
+        config = openblas_string(module, symbol)
+        if config is not None:
+            found[module.__name__] = config
     return found
 
 
@@ -161,7 +155,8 @@ def test_golden_trace_is_bit_identical():
 if __name__ == "__main__":
     # Before anything imports NumPy.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    root = Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(root / "src"), str(root / "scripts")]
     document = {"environment": environment(), "hashes": trace()}
     json.dump(document, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
