@@ -34,7 +34,7 @@ from .harness import (
     parse_strategy,
     run_experiment,
 )
-from .maximizer import BoxDomain, MaximizerConfig, grid_candidates, maximize, unit_box
+from .maximizer import BoxDomain, MaximizerConfig, maximize, unit_box
 from .metrics import (
     AggregateSummary,
     BoundDiagnostics,

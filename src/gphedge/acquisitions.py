@@ -91,9 +91,6 @@ class BetaSchedule:
         if self.cardinality < 1:
             raise ValueError("cardinality must be a positive integer")
 
-    def beta(self, t: int) -> float:
-        return beta_t(self, t)
-
 
 def beta_t(schedule: BetaSchedule, t: int) -> float:
     if t < 1:

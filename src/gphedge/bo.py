@@ -1,9 +1,10 @@
 """Optimization drivers: single-acquisition search and the bandit portfolio.
 
 One trial is a single logical thread of state evolution.  Every iteration
-each arm nominates the maximizer of its acquisition, the strategy picks one
-nominee, the objective is sampled there, the GP absorbs the observation and
-every arm is rewarded with the posterior mean at its own nominee.  With one
+each arm nominates the maximizer of its acquisition (all arms in one
+lockstep maximizer call), the strategy picks one nominee, the objective is
+sampled there, the GP absorbs the observation and every arm is rewarded
+with the posterior mean at its own nominee.  With one
 arm and the ``single`` strategy this reduces to plain Bayesian optimization.
 
 Randomness is split into independent streams so that trials are
@@ -74,7 +75,6 @@ class RunConfig:
     exp3_gamma: float = 0.1
     rescale_rewards: bool = True
     reward_mode: str = "updated"
-    incumbent_mode: str = "posterior"
     output_mean: float = 0.0
     output_scale: float = 1.0
     gp_noise_variance: float | None = None
@@ -90,8 +90,6 @@ class RunConfig:
             raise ValueError("at least one acquisition is required")
         if self.reward_mode not in ("updated", "lagged"):
             raise ValueError("reward_mode is 'updated' or 'lagged'")
-        if self.incumbent_mode not in ("posterior", "sample"):
-            raise ValueError("incumbent_mode is 'posterior' or 'sample'")
         if self.seed < 0 or (self.pair_seed is not None and self.pair_seed < 0):
             raise ValueError("seeds must be non-negative")
         if self.noise_variance < 0.0 or self.output_scale <= 0.0:
@@ -248,31 +246,34 @@ def run(config: RunConfig) -> TrialRecord:
 
     for t in range(1, T + 1):
         try:
-            if config.incumbent_mode == "posterior":
-                mu_plus = float(posterior_mean(gp, gp.inputs).max())
-            else:
-                mu_plus = float(gp.outputs.max())
+            mu_plus = float(posterior_mean(gp, gp.inputs).max())
 
-            for i, spec in enumerate(arms):
-                state = gp
+            def utilities(points, counts):
+                values = np.empty(points.shape[0])
+                end = 0
+                for spec, count in zip(arms, counts):
+                    if count:
+                        rows = slice(end, end + count)
+                        mean, variance = posterior_predict_batch(gp, points[rows])
+                        values[rows] = acquisition_values(
+                            spec,
+                            mean,
+                            np.sqrt(variance),
+                            incumbent=mu_plus,
+                            t=t,
+                            schedule=schedule,
+                        )
+                        end += count
+                return values
 
-                def utility(points, spec=spec, state=state):
-                    mean, variance = posterior_predict_batch(state, points)
-                    return acquisition_values(
-                        spec,
-                        mean,
-                        np.sqrt(variance),
-                        incumbent=mu_plus,
-                        t=t,
-                        schedule=schedule,
-                    )
-
-                mconf = replace(
+            configs = [
+                replace(
                     config.maximizer,
                     seed=_derived_seed(config.seed, _STREAM_MAXIMIZER, t, i),
                 )
-                point, _ = maximize(utility, unit, mconf)
-                nominees_unit[t - 1, i] = point
+                for i in range(n_arms)
+            ]
+            nominees_unit[t - 1], _ = maximize(utilities, unit, configs)
 
             probs[t - 1] = probabilities(bandit)
             j = 0 if config.strategy == "single" else select_arm(bandit, rng_select)

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from csv import writer as csv_writer
 from dataclasses import dataclass, field
@@ -312,7 +313,21 @@ def _run_trial_safe(task: TrialTask):
     try:
         return _run_trial(task), None
     except Exception as err:  # noqa: BLE001 - isolate trial failures
-        return None, f"{type(err).__name__}: {err}"
+        return None, _failure_message(err)
+
+
+def _failure_message(err: BaseException) -> str:
+    """``Type: message (in function at file:line)`` for a failed trial.
+
+    The place is the innermost frame of the exception that began the
+    ``raise ... from`` chain, where the fault surfaced.
+    """
+    origin = err
+    while origin.__cause__ is not None:
+        origin = origin.__cause__
+    frame = traceback.extract_tb(origin.__traceback__)[-1]
+    where = f"{frame.name} at {Path(frame.filename).name}:{frame.lineno}"
+    return f"{type(err).__name__}: {err} (in {where})"
 
 
 def _format_float(value) -> str:

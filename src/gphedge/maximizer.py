@@ -1,15 +1,18 @@
-"""Global maximization of a cheap function over a box.
+"""Global maximization of cheap functions over a box, one arm or several.
 
 Two deterministic phases: dividing-rectangles search (potentially-optimal
 selection by the Lipschitz-envelope criterion) followed by multistart
 pattern search with a shrinking step, seeded from the best rectangles plus
 random restarts.  Functions are evaluated on row-stacked batches,
 ``f(points (n, d)) -> values (n,)``, so GP-backed objectives stay vectorized.
+A portfolio's arms run in lockstep: their rectangles and starts share one
+array state, and each sweep sends every arm's probes to one call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,43 +98,44 @@ def latin_hypercube(count: int, dimension: int, rng: np.random.Generator) -> np.
     return u
 
 
-def grid_candidates(domain: BoxDomain, count: int, seed: int) -> np.ndarray:
-    """Deterministic stratified candidate grid covering the box."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    return domain.from_unit(latin_hypercube(count, domain.dimension, rng))
+def _potentially_optimal(arms, ranks, classes, values, n_arms):
+    """Per arm, one rectangle per measure class on the lower Lipschitz envelope.
 
-
-def _potentially_optimal(measures, values, best):
-    """Indices of one rectangle per measure class on the lower Lipschitz envelope.
-
-    Each class is represented by its lowest value, ties going to the lowest
-    index.  Class i is kept when k_lo <= k_hi, where k_lo is the steepest
-    slope from a smaller class (0 for the smallest) and k_hi the shallowest
-    slope to a larger one, and when its envelope intercept at slope k_hi
-    lies at least eps*|best| below ``best``.  The result is in increasing
-    order of measure.
+    Rectangle r belongs to arm ``arms[r]`` and to measure class ``ranks[r]``
+    of ``classes``, the measures in increasing order.  Each (arm, class) is
+    represented by its lowest value, ties going to the lowest index.  Within
+    an arm, class i is kept when k_lo <= k_hi, where k_lo is the steepest
+    slope from a smaller class of that arm (0 for its smallest) and k_hi the
+    shallowest slope to a larger one, and when its envelope intercept at
+    slope k_hi lies at least eps*|best| below the arm's best value.  The
+    result is arm by arm, each in increasing order of measure.
     """
-    classes = np.unique(measures)
-    members = np.searchsorted(classes, measures)
-    class_min = np.full(classes.size, math.inf)
-    np.minimum.at(class_min, members, values)
-    at_min = np.flatnonzero(values == class_min[members])
-    reps = np.full(classes.size, measures.size)
-    np.minimum.at(reps, members[at_min], at_min)
-    rep_vals = values[reps]
-    # slopes[i, j] = (f_i - f_j) / (d_i - d_j), used only for j < i.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = (rep_vals[:, None] - rep_vals) / (classes[:, None] - classes)
+    n = values.size
+    group = arms * classes.size + ranks
+    rep_vals = np.full(n_arms * classes.size, math.inf)
+    np.minimum.at(rep_vals, group, values)
+    at_min = np.flatnonzero(values == rep_vals[group])
+    reps = np.full(n_arms * classes.size, n)
+    np.minimum.at(reps, group[at_min], at_min)
+    reps = reps.reshape(n_arms, -1)
+    rep_vals = rep_vals.reshape(n_arms, -1)
+    present = reps < n
+    # slopes[a, i, j] = (f_i - f_j) / (d_i - d_j), used only for j < i.  A
+    # class the arm lacks has value +inf, so its slopes are -inf from below
+    # and +inf to above and never set k_lo or k_hi of a class it has.
     below = np.tri(classes.size, k=-1, dtype=bool)
-    k_lo = np.max(np.where(below, slopes, -math.inf), axis=1)
-    k_lo[0] = 0.0
-    k_hi = np.min(np.where(below, slopes, math.inf), axis=0)
-    intercept = rep_vals - k_hi * classes
-    keep = ~(k_lo > k_hi) & ~(
-        np.isfinite(k_hi) & (intercept > best - _ENVELOPE_EPS * abs(best))
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = (rep_vals[:, :, None] - rep_vals[:, None, :]) / (
+            classes[:, None] - classes
+        )
+        k_lo = np.max(np.where(below, slopes, -math.inf), axis=2)
+        k_lo[np.arange(n_arms), np.argmax(present, axis=1)] = 0.0
+        k_hi = np.min(np.where(below, slopes, math.inf), axis=1)
+        best = rep_vals.min(axis=1, keepdims=True)
+        intercept = rep_vals - k_hi * classes
+        keep = present & ~(k_lo > k_hi) & ~(
+            np.isfinite(k_hi) & (intercept > best - _ENVELOPE_EPS * abs(best))
+        )
     return reps[keep]
 
 
@@ -140,41 +144,85 @@ def _half_diagonal(levels: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(3.0 ** (-levels.astype(float)), axis=1)
 
 
+def _ranked(classes: np.ndarray, measures: np.ndarray, ranks: np.ndarray):
+    """Rank ``measures`` among ``classes``, the sorted distinct measures.
+
+    Returns the classes, the rank of every measure, and the new rank of
+    every old class (None when the classes stay).  When a measure is new,
+    the classes become the new measures and the old classes that ``ranks``
+    still uses.
+    """
+    at = np.searchsorted(classes, measures)
+    if (classes[np.minimum(at, classes.size - 1)] == measures).all():
+        return classes, at, None
+    used = np.zeros(classes.size, dtype=bool)
+    used[ranks] = True
+    merged = np.union1d(classes[used], measures)
+    return merged, np.searchsorted(merged, measures), np.searchsorted(merged, classes)
+
+
 def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
     out = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
     out[: array.shape[0]] = array
     return out
 
 
-def _direct_minimize(g, dimension: int, budget: int):
-    """Deterministic rectangle division over the unit cube; returns all samples.
+def _direct_search(g, dimension: int, budgets: np.ndarray) -> list:
+    """Rectangle division over the unit cube for k arms in lockstep.
 
-    Rectangles are tracked as (center, per-dimension trisection level); the
-    measure is the half-diagonal.  A sweep splits one potentially-optimal
-    rectangle per measure class, trisecting along every longest dimension in
-    order of the best probe values.  The sweep in progress always completes,
-    so a larger budget strictly extends a smaller one.
+    Returns each arm's samples as (centers, values).  Rectangles are tracked
+    as (center, per-dimension trisection level); the measure is the
+    half-diagonal.  A sweep splits, for every arm still searching, one
+    potentially-optimal rectangle per measure class, trisecting along every
+    longest dimension in order of the best probe values.  An arm's sweep in
+    progress always completes, so a larger budget strictly extends a smaller
+    one; an arm stops once it holds ``budgets[arm]`` samples.  Every sweep
+    selects at least the largest class of each arm, which has no slope to a
+    larger one, so an arm never stalls.
 
-    Rectangles live in arrays that double when full; a measure is computed
-    when its rectangle's levels change.  A sweep's probes go to ``g`` as one
-    batch, rectangle by rectangle in increasing measure and, within one, by
+    All arms' rectangles live in one set of arrays that double when full,
+    with an arm column; an arm's rectangles keep its own order of creation,
+    and a stopped arm's are moved out.  Each rectangle holds the rank of its
+    measure among the distinct measures seen so far, computed when its
+    levels change.  A sweep's probes go to ``g(points, counts)`` as one
+    batch, arm by arm with ``counts[arm]`` rows each; within an arm,
+    rectangle by rectangle in increasing measure and, within one, by
     ascending dimension, the lower point of each pair first.  New rectangles
     are appended in split order.
     """
-    capacity = budget + 2 * dimension
+    k = budgets.size
+    capacity = int(budgets.sum()) + 2 * dimension * k
     centers = np.empty((capacity, dimension))
     levels = np.empty((capacity, dimension), dtype=int)
     values = np.empty(capacity)
-    measures = np.empty(capacity)
-    centers[0] = 0.5
-    levels[0] = 0
-    values[0] = float(g(centers[:1])[0])
-    measures[:1] = _half_diagonal(levels[:1])
-    n = 1
-    while n < budget:
-        selected = _potentially_optimal(measures[:n], values[:n], values[:n].min())
-        if selected.size == 0:
-            break
+    ranks = np.empty(capacity, dtype=np.intp)
+    arms = np.empty(capacity, dtype=np.intp)
+    centers[:k] = 0.5
+    levels[:k] = 0
+    ranks[:k] = 0
+    arms[:k] = np.arange(k)
+    classes = _half_diagonal(levels[:1])
+    values[:k] = g(centers[:k], np.ones(k, dtype=int))
+    sizes = np.ones(k, dtype=int)
+    searching = np.ones(k, dtype=bool)
+    samples = [None] * k
+    n = k
+    while True:
+        stopped = searching & (sizes >= budgets)
+        if stopped.any():
+            searching &= ~stopped
+            owner = arms[:n]
+            for arm in np.flatnonzero(stopped):
+                rows = np.flatnonzero(owner == arm)
+                samples[arm] = (centers[rows], values[rows])
+            keep = searching[owner]
+            n = int(np.count_nonzero(keep))
+            for array in (centers, levels, values, ranks, arms):
+                array[:n] = array[: keep.size][keep]
+            if n == 0:
+                return samples
+        selected = _potentially_optimal(arms[:n], ranks[:n], classes, values[:n], k)
+        owner = arms[selected]
         lev = levels[selected]
         shortest = lev.min(axis=1)
         longest = lev == shortest[:, None]
@@ -185,7 +233,8 @@ def _direct_minimize(g, dimension: int, budget: int):
         delta = (3.0 ** (-(shortest + 1)))[rect]
         probes[2 * pairs, dim] -= delta
         probes[2 * pairs + 1, dim] += delta
-        probe_vals = g(probes)
+        probed = 2 * np.bincount(owner[rect], minlength=k)
+        probe_vals = g(probes, probed)
 
         # Split each rectangle along its dimensions in order of the pair's
         # better value (ties by dimension); each new pair of rectangles has
@@ -197,13 +246,12 @@ def _direct_minimize(g, dimension: int, budget: int):
         starts = np.cumsum(counts) - counts
         reached -= np.repeat(reached[starts] - steps[starts], counts, axis=0)
         levels[selected] = lev + longest
-        measures[selected] = _half_diagonal(levels[selected])
 
         count = 2 * rect.size
         if n + count > capacity:
             capacity = 2 * (n + count)
-            centers, levels, values, measures = (
-                _grown(a, capacity) for a in (centers, levels, values, measures)
+            centers, levels, values, ranks, arms = (
+                _grown(a, capacity) for a in (centers, levels, values, ranks, arms)
             )
         take = np.repeat(2 * split, 2)
         take[1::2] += 1
@@ -211,32 +259,64 @@ def _direct_minimize(g, dimension: int, budget: int):
         centers[new] = probes[take]
         values[new] = probe_vals[take]
         levels[new] = np.repeat(np.repeat(lev, counts, axis=0) + reached, 2, axis=0)
-        measures[new] = _half_diagonal(levels[new])
+        arms[new] = np.repeat(owner[rect], 2)
+        changed = np.concatenate([selected, np.arange(n, n + count)])
+        classes, changed_ranks, moved = _ranked(
+            classes, _half_diagonal(levels[changed]), ranks[:n]
+        )
+        if moved is not None:
+            ranks[:n] = moved[ranks[:n]]
+        ranks[changed] = changed_ranks
         n += count
-    return centers[:n], values[:n]
+        sizes += probed
 
 
-def _pattern_search(g, starts: np.ndarray, steps: int):
-    """Coordinate pattern search with a halving step, all starts in lockstep."""
+def _pattern_search(g, starts: np.ndarray, owners: np.ndarray, steps: np.ndarray):
+    """Coordinate pattern search with a halving step, every start in lockstep.
+
+    Start s belongs to arm ``owners[s]``, arm by arm.  An arm's starts take
+    at most ``steps[arm]`` steps and stop together once every one of their
+    steps is below ``_MIN_STEP``, as that arm searching alone would.  The
+    starts still moving are kept in compact arrays, rebuilt when an arm
+    stops.
+    """
+    k = steps.size
     n, dimension = starts.shape
-    x = starts.copy()
-    fx = g(x)
+    out_x = starts.copy()
+    out_f = g(out_x, np.bincount(owners, minlength=k))
+    rows = np.arange(n)
+    x, fx, owner = out_x.copy(), out_f.copy(), owners
     step = np.full(n, 0.25)
+    counts = 2 * dimension * np.bincount(owner, minlength=k)
     eye = np.eye(dimension)
-    for _ in range(steps):
-        if np.all(step < _MIN_STEP):
-            break
-        moves = np.concatenate([eye, -eye], axis=0)
+    moves = np.concatenate([eye, -eye], axis=0)
+    limits = set(steps.tolist())
+    for taken in range(int(steps.max())):
+        # An arm can only stop at its step limit or once a step is tiny.
+        if taken in limits or step.min() < _MIN_STEP:
+            moving = np.zeros(k, dtype=bool)
+            moving[owner[step >= _MIN_STEP]] = True
+            moving &= steps > taken
+            keep = moving[owner]
+            if not keep.all():
+                out_x[rows], out_f[rows] = x, fx
+                rows, x, fx, owner, step = (
+                    a[keep] for a in (rows, x, fx, owner, step)
+                )
+                if rows.size == 0:
+                    break
+                counts = 2 * dimension * np.bincount(owner, minlength=k)
         probes = x[:, None, :] + step[:, None, None] * moves[None, :, :]
         np.clip(probes, 0.0, 1.0, out=probes)
-        vals = g(probes.reshape(-1, dimension)).reshape(n, 2 * dimension)
+        vals = g(probes.reshape(-1, dimension), counts).reshape(rows.size, -1)
         best_idx = np.argmin(vals, axis=1)
-        best_val = vals[np.arange(n), best_idx]
+        best_val = vals[np.arange(rows.size), best_idx]
         improved = best_val < fx
         x[improved] = probes[improved, best_idx[improved]]
         fx[improved] = best_val[improved]
         step[~improved] *= 0.5
-    return x, fx
+    out_x[rows], out_f[rows] = x, fx
+    return out_x, out_f
 
 
 def _lexicographic_best(points: np.ndarray, values: np.ndarray) -> int:
@@ -250,37 +330,62 @@ def _lexicographic_best(points: np.ndarray, values: np.ndarray) -> int:
 
 
 def maximize(
-    f, domain: BoxDomain, config: MaximizerConfig = MaximizerConfig()
-) -> tuple[np.ndarray, float]:
-    """Best point and value of ``f`` over the box.
+    f,
+    domain: BoxDomain,
+    config: MaximizerConfig | Sequence[MaximizerConfig] = MaximizerConfig(),
+):
+    """Best point and value of ``f`` over the box, for one arm or several.
 
-    ``f`` maps a batch of points (n, d) to values (n,).  The result is
-    deterministic given ``config.seed`` and never leaves the box; it is at
-    least as good as every rectangle sample and every refined start.
+    With one ``MaximizerConfig``, ``f`` maps a batch of points (n, d) to
+    values (n,) and the result is (point, value).  With a sequence of
+    configs, one per arm, the arms run in lockstep: ``f(points, counts)``
+    gets the points of every arm still searching stacked arm by arm,
+    ``counts[arm]`` rows each (0 once the arm is done), and returns their
+    values; the result is the arms' points (k, d) and values (k,).  Either
+    way an arm's probe batches, and so its result, are those it gets alone.
+    Each result is deterministic given its config's seed, never leaves the
+    box and is at least as good as every rectangle sample and every refined
+    start of its arm.
     """
+    if isinstance(config, MaximizerConfig):
+        points, values = maximize(lambda x, counts: f(x), domain, (config,))
+        return points[0], float(values[0])
+    configs = tuple(config)
     dimension = domain.dimension
-    budget = config.direct_budget or 500 * dimension
 
-    def g(u: np.ndarray) -> np.ndarray:
+    def g(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
         x = domain.from_unit(u)
-        vals = np.asarray(f(x), dtype=float).reshape(u.shape[0])
+        vals = np.asarray(f(x, counts), dtype=float).reshape(u.shape[0])
         finite = np.isfinite(vals)
         if not finite.all():
-            offender = x[int(np.argmin(finite))]
-            raise NumericsError(f"objective returned a non-finite value at {offender}")
+            row = int(np.argmin(finite))
+            arm = int(np.searchsorted(np.cumsum(counts), row, side="right"))
+            raise NumericsError(f"arm {arm} returned a non-finite value at {x[row]}")
         return -vals
 
-    centers, values = _direct_minimize(g, dimension, budget)
-    order = np.argsort(values, kind="stable")
-    n_seed = min(max(config.multistart_count // 2, 1), centers.shape[0])
-    starts = centers[order[:n_seed]]
-    rng = np.random.default_rng(config.seed)
-    if config.multistart_count > n_seed:
-        extra = rng.random((config.multistart_count - n_seed, dimension))
-        starts = np.vstack([starts, extra])
-    refined, refined_vals = _pattern_search(g, starts, config.local_steps)
-    all_points = np.vstack([centers, refined])
-    all_values = np.concatenate([values, refined_vals])
-    pick = _lexicographic_best(all_points, all_values)
-    u = np.clip(all_points[pick], 0.0, 1.0)
-    return domain.from_unit(u), float(-all_values[pick])
+    budgets = np.array([c.direct_budget or 500 * dimension for c in configs])
+    samples = _direct_search(g, dimension, budgets)
+    starts, owners = [], []
+    for arm, (c, (centers, values)) in enumerate(zip(configs, samples)):
+        order = np.argsort(values, kind="stable")
+        n_seed = min(max(c.multistart_count // 2, 1), centers.shape[0])
+        mine = centers[order[:n_seed]]
+        if c.multistart_count > n_seed:
+            rng = np.random.default_rng(c.seed)
+            extra = rng.random((c.multistart_count - n_seed, dimension))
+            mine = np.vstack([mine, extra])
+        starts.append(mine)
+        owners.append(np.full(mine.shape[0], arm))
+    owners = np.concatenate(owners)
+    steps = np.array([c.local_steps for c in configs])
+    refined, refined_vals = _pattern_search(g, np.vstack(starts), owners, steps)
+    points = np.empty((len(configs), dimension))
+    best = np.empty(len(configs))
+    for arm, (centers, values) in enumerate(samples):
+        mine = owners == arm
+        all_points = np.vstack([centers, refined[mine]])
+        all_values = np.concatenate([values, refined_vals[mine]])
+        pick = _lexicographic_best(all_points, all_values)
+        points[arm] = domain.from_unit(np.clip(all_points[pick], 0.0, 1.0))
+        best[arm] = -all_values[pick]
+    return points, best

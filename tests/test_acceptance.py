@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gphedge.acquisitions import BetaSchedule, acq_ei, acq_pi
-from gphedge.bo import RunConfig, run, run_gp_hedge, run_single
+from gphedge.bo import RunConfig, initial_design, run, run_gp_hedge, run_single
 from gphedge.cli import main as cli_main
 from gphedge.gp import (
     KernelParams,
@@ -23,7 +23,7 @@ from gphedge.gp import (
     posterior_predict,
 )
 from gphedge.harness import ExperimentConfig, default_portfolio, run_experiment
-from gphedge.maximizer import MaximizerConfig, grid_candidates, unit_box
+from gphedge.maximizer import MaximizerConfig, unit_box
 from gphedge.metrics import band_coverage_violated, variance_sum_check
 from gphedge.objectives import branin, hartman3, sample_synthetic_objective
 from gphedge.portfolio import new_portfolio, probabilities, update_hedge
@@ -213,7 +213,7 @@ def test_criterion_4_confidence_band_coverage():
     delta = 0.1
     replications = 200
     kernel = KernelParams([0.35, 0.35])
-    grid = grid_candidates(unit_box(2), 1000, seed=4)
+    grid = initial_design(unit_box(2), 1000, seed=4)
     schedule = BetaSchedule(delta=delta, cardinality=1000)
     violations = sum(
         band_coverage_violated(

@@ -193,6 +193,7 @@ def test_initial_design_is_deterministic_and_stratified():
     box = BoxDomain([0.0, -1.0], [2.0, 3.0])
     pts = initial_design(box, 8, seed=3)
     assert np.array_equal(pts, initial_design(box, 8, seed=3))
+    assert not np.array_equal(pts, initial_design(box, 8, seed=4))
     assert pts.shape == (8, 2)
     unit = box.to_unit(pts)
     for j in range(2):

@@ -186,9 +186,30 @@ def test_failures_are_recorded_not_fatal(monkeypatch):
     monkeypatch.setattr(harness_module, "_run_trial", sabotaged)
     table = run_experiment(tiny_config())
     assert ("ei", 1) in table.failures
-    assert "rigged failure" in table.failures[("ei", 1)]
+    message = table.failures[("ei", 1)]
+    assert message.startswith("RuntimeError: rigged failure (in sabotaged at test_harness.py:")
     assert ("ei", 0) in table.records
     assert ("gp-hedge-3", 1) in table.records
+
+
+def test_one_of_nine_arms_returning_nan_names_the_arm(monkeypatch):
+    import gphedge.bo as bo_module
+
+    original = bo_module.acquisition_values
+    broken = default_portfolio(9)[4]
+
+    def nan_for_one_arm(spec, mean, sigma, **kwargs):
+        values = original(spec, mean, sigma, **kwargs)
+        return np.full_like(values, np.nan) if spec == broken else values
+
+    monkeypatch.setattr(bo_module, "acquisition_values", nan_for_one_arm)
+    table = run_experiment(tiny_config(strategies=("gp-hedge-9",), trials=1))
+    message = table.failures[("gp-hedge-9", 0)]
+    assert message.startswith(
+        "NumericsError: iteration 1: arm 4 returned a non-finite value at ["
+    )
+    assert "(in g at maximizer.py:" in message
+    assert not table.records
 
 
 def test_parallel_jobs_match_serial(tmp_path):

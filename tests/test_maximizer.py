@@ -9,14 +9,38 @@ from gphedge.gp import NumericsError
 from gphedge.maximizer import (
     BoxDomain,
     MaximizerConfig,
-    _direct_minimize,
+    _direct_search,
     _potentially_optimal,
-    grid_candidates,
     latin_hypercube,
     maximize,
     unit_box,
 )
 from gphedge.objectives import branin
+
+
+def _direct_samples(fn, dimension, budget):
+    """Centers and values of a one-arm DIRECT search of ``fn``."""
+    [samples] = _direct_search(lambda u, counts: fn(u), dimension, np.array([budget]))
+    return samples
+
+
+def _stacked(fns):
+    """A lockstep function: each arm's rows go to that arm's own function."""
+
+    def f(points, counts):
+        bounds = np.cumsum(counts)
+        return np.concatenate(
+            [fn(points[b - c : b]) for fn, c, b in zip(fns, counts, bounds) if c]
+        )
+
+    return f
+
+
+def _select(measures, values):
+    """``_potentially_optimal`` for the rectangles of one arm."""
+    classes, ranks = np.unique(measures, return_inverse=True)
+    arms = np.zeros(len(values), dtype=np.intp)
+    return list(_potentially_optimal(arms, ranks, classes, values, 1))
 
 
 def test_box_validation():
@@ -86,7 +110,7 @@ def test_direct_phase_budget_is_monotone():
 
     bests = []
     for budget in (40, 80, 160, 320, 640):
-        _, values = _direct_minimize(spiky, 2, budget)
+        _, values = _direct_samples(spiky, 2, budget)
         bests.append(values.min())
     assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
 
@@ -123,8 +147,18 @@ def test_nonfinite_objective_raises_naming_the_point():
         values[x[:, 0] > 0.9] = np.nan
         return values
 
-    with pytest.raises(NumericsError, match="non-finite"):
+    with pytest.raises(NumericsError, match="arm 0 returned a non-finite value at"):
         maximize(bad, unit_box(2), MaximizerConfig(direct_budget=200))
+
+
+def test_nonfinite_value_names_its_arm():
+    def bad(x):
+        return np.where(x[:, 0] > 0.9, np.nan, np.sum(x, axis=1))
+
+    fns = [lambda x: np.sum(x, axis=1)] * 2 + [bad, lambda x: -np.sum(x, axis=1)]
+    configs = [MaximizerConfig(direct_budget=200)] * 4
+    with pytest.raises(NumericsError, match="arm 2 returned a non-finite value at"):
+        maximize(_stacked(fns), unit_box(2), configs)
 
 
 def test_tie_break_is_lexicographic():
@@ -137,20 +171,6 @@ def test_tie_break_is_lexicographic():
     point, _ = maximize(flat, unit_box(2), config)
     again, _ = maximize(flat, unit_box(2), config)
     assert np.array_equal(point, again)
-
-
-def test_grid_candidates_deterministic_and_stratified():
-    box = BoxDomain([0.0, -2.0], [1.0, 2.0])
-    pts = grid_candidates(box, 64, seed=5)
-    assert pts.shape == (64, 2)
-    assert np.array_equal(pts, grid_candidates(box, 64, seed=5))
-    assert not np.array_equal(pts, grid_candidates(box, 64, seed=6))
-    unit = box.to_unit(pts)
-    for j in range(2):
-        counts = np.histogram(unit[:, j], bins=64, range=(0.0, 1.0))[0]
-        assert np.all(counts == 1)
-    with pytest.raises(ValueError):
-        grid_candidates(box, 0, seed=1)
 
 
 def test_latin_hypercube_covers_each_slab():
@@ -224,7 +244,7 @@ def direct_oracle_samples() -> dict:
     cases = {}
     for name, fn in ORACLE_FUNCTIONS.items():
         for d, budget in ORACLE_BUDGETS.items():
-            centers, values = _direct_minimize(fn, d, budget)
+            centers, values = _direct_samples(fn, d, budget)
             cases[f"{name}-{d}"] = {
                 "centers": centers.tolist(),
                 "values": values.tolist(),
@@ -244,7 +264,7 @@ def test_direct_samples_match_frozen_oracle():
 def test_potentially_optimal_single_class_picks_its_lowest_value():
     measures = np.full(4, 0.5)
     values = np.array([3.0, 1.0, 2.0, 1.0])
-    assert list(_potentially_optimal(measures, values, 1.0)) == [1]
+    assert _select(measures, values) == [1]
 
 
 def test_potentially_optimal_all_values_equal():
@@ -252,18 +272,60 @@ def test_potentially_optimal_all_values_equal():
     # the best value, which the relative margin rules out.
     measures = np.array([0.1, 0.3, 0.3, 0.2, 0.1])
     values = np.full(5, 2.0)
-    assert list(_potentially_optimal(measures, values, 2.0)) == [1]
+    assert _select(measures, values) == [1]
 
 
 def test_potentially_optimal_best_zero_has_no_relative_margin():
     # The margin is eps*|best|: at best == 0 it vanishes, so a class whose
     # envelope passes exactly through the best value is kept.
     measures = np.array([0.1, 0.2])
-    assert list(_potentially_optimal(measures, np.zeros(2), 0.0)) == [0, 1]
-    assert list(_potentially_optimal(measures, np.full(2, -1.0), -1.0)) == [1]
+    assert _select(measures, np.zeros(2)) == [0, 1]
+    assert _select(measures, np.full(2, -1.0)) == [1]
 
 
 def test_potentially_optimal_equal_values_across_classes_ties_to_lowest_index():
     measures = np.array([0.2, 0.1, 0.2, 0.1, 0.4])
     values = np.array([-1.0, -2.0, -1.0, -2.0, -1.0])
-    assert list(_potentially_optimal(measures, values, -2.0)) == [1, 4]
+    assert _select(measures, values) == [1, 4]
+
+
+def test_potentially_optimal_selects_each_arm_on_its_own():
+    # Three arms' rectangles interleaved, some classes missing from an arm:
+    # the joint selection is each arm's own selection, arm by arm.
+    rng = np.random.default_rng(5)
+    measures = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5], size=60)
+    values = rng.integers(0, 6, size=60).astype(float)
+    arms = rng.integers(0, 3, size=60)
+    arms[(arms == 2) & (measures == 0.3)] = 1
+    classes, ranks = np.unique(measures, return_inverse=True)
+    expected = []
+    for arm in range(3):
+        rows = np.flatnonzero(arms == arm)
+        expected += [int(rows[i]) for i in _select(measures[rows], values[rows])]
+    assert list(_potentially_optimal(arms, ranks, classes, values, 3)) == expected
+
+
+@pytest.mark.parametrize("k", [1, 3, 9])
+def test_lockstep_arms_match_their_one_arm_runs(k):
+    # Different functions and budgets make the arms stop on different
+    # sweeps; the last arm's budget of one sample means it never sweeps.
+    d = 3
+    names = sorted(ORACLE_FUNCTIONS)
+    fns = [ORACLE_FUNCTIONS[names[i % len(names)]] for i in range(k)]
+    budgets = [60 + 23 * i for i in range(k - 1)] + [1 if k > 1 else 90]
+    configs = [
+        MaximizerConfig(
+            direct_budget=b, multistart_count=1 + i % 4, local_steps=4 + 5 * i, seed=i
+        )
+        for i, b in enumerate(budgets)
+    ]
+    stacked = _direct_search(_stacked(fns), d, np.array(budgets))
+    box = BoxDomain([-1.0, 0.0, 2.0], [1.0, 0.5, 5.0])
+    points, values = maximize(_stacked(fns), box, configs)
+    for i, fn in enumerate(fns):
+        centers, samples = _direct_samples(fn, d, budgets[i])
+        assert np.array_equal(stacked[i][0], centers)
+        assert np.array_equal(stacked[i][1], samples)
+        point, value = maximize(fn, box, configs[i])
+        assert np.array_equal(points[i], point)
+        assert values[i] == value
