@@ -1,22 +1,35 @@
 #!/usr/bin/env python3
-"""Time ``maximizer.maximize`` on a GP-backed acquisition, one checkout at a time.
+"""Time ``maximizer.maximize`` on GP-backed acquisitions, one checkout at a time.
 
-Each case fits a GP to ``t`` points in ``d`` dimensions and maximizes EI over
+Each case fits a GP to ``t`` points in ``d`` dimensions and maximizes over
 the unit box with the default budget (500 DIRECT evaluations per dimension
-plus pattern search), the inner problem every arm solves on every BO
-iteration.  A case's time is the median of ``REPEATS`` calls after one
-warm-up call.  BLAS is pinned to one thread before NumPy loads.
+plus pattern search), the inner problem of every BO iteration, twice:
 
-Run it once per checkout, under different labels, into the same file:
+- one arm: EI alone, as a single-acquisition strategy solves it;
+- nine arms: the ``gp-hedge-9`` portfolio.  A checkout with the lockstep
+  maximizer (it has ``maximizer._direct_search``) solves all nine in one
+  call that makes one posterior call per sweep; an older checkout makes
+  nine one-arm calls.
 
-    python scripts/bench_maximizer.py --src ../before/src --label before --out BENCH.json
-    python scripts/bench_maximizer.py --src src --label after --out BENCH.json
+Every call is made once to warm up, then ``REPEATS`` more times, going
+round-robin over all calls, so that the repeats of one call are spread over
+the whole run.  A call's time is the fastest of its repeats: other processes
+on the machine only ever add time, and their slow spells last seconds to
+minutes, longer than the back-to-back repeats of one call.  BLAS is pinned
+to one thread before NumPy loads.
+
+Run it once per checkout, under different labels, into the same file; the
+machine's speed drifts between runs, so alternate the checkouts over
+several pairs of runs:
+
+    python scripts/bench_maximizer.py --src ../parent/src --label parent-1 --out BENCH.json
+    python scripts/bench_maximizer.py --src src --label change-1 --out BENCH.json
 
 Each run replaces its own label's section and keeps the others.  The
 section records cores, NumPy and SciPy versions, the OpenBLAS core and the
-git sha of the checkout, and per case the median, every repeat and the
-number of points evaluated, which must agree between checkouts whose
-maximizers pick the same points.
+git sha of the checkout, and per case and arm count the fastest and the
+median repeat, every repeat and the number of points evaluated, which must
+agree between checkouts whose maximizers pick the same points.
 """
 
 from __future__ import annotations
@@ -64,10 +77,14 @@ def environment(src: Path) -> dict:
     }
 
 
-def time_case(d: int, t: int) -> dict:
+def case_calls(d: int, t: int) -> dict:
+    """The one-arm and nine-arm maximizations of case (d, t); each call
+    returns the number of points it evaluated."""
     import numpy as np
+    from gphedge import maximizer
     from gphedge.acquisitions import BetaSchedule, acquisition_values, ei
     from gphedge.gp import KernelParams, fit, posterior_predict_batch
+    from gphedge.harness import default_portfolio
     from gphedge.maximizer import MaximizerConfig, latin_hypercube, maximize, unit_box
 
     rng = np.random.default_rng(1000 * d + t)
@@ -75,39 +92,61 @@ def time_case(d: int, t: int) -> dict:
     outputs = np.cos(3.0 * inputs).sum(axis=1) - np.sum((inputs - 0.4) ** 2, axis=1)
     outputs = (outputs - outputs.mean()) / outputs.std()
     state = fit(inputs, outputs, KernelParams(np.full(d, 0.3)), 1e-6)
-    spec = ei(0.01)
     incumbent = float(state.outputs.max())
     schedule = BetaSchedule()
+    box = unit_box(d)
+    arms = default_portfolio(9)
+    configs = [MaximizerConfig(seed=d + t + i) for i in range(len(arms))]
     evaluated = []
 
-    def utility(points):
+    def utility(points, spec):
         evaluated.append(points.shape[0])
         mean, variance = posterior_predict_batch(state, points)
         return acquisition_values(
             spec, mean, np.sqrt(variance), incumbent=incumbent, t=t, schedule=schedule
         )
 
-    config = MaximizerConfig(seed=d + t)
-    maximize(utility, unit_box(d), config)
-    points = sum(evaluated)
-    seconds = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        maximize(utility, unit_box(d), config)
-        seconds.append(time.perf_counter() - start)
-    return {
-        "d": d,
-        "t": t,
-        "median_s": statistics.median(seconds),
-        "repeats_s": seconds,
-        "points_per_call": points,
-    }
+    def utilities(points, counts):
+        evaluated.append(points.shape[0])
+        mean, variance = posterior_predict_batch(state, points)
+        sigma = np.sqrt(variance)
+        values = np.empty(points.shape[0])
+        end = 0
+        for spec, count in zip(arms, counts):
+            if count:
+                rows = slice(end, end + count)
+                values[rows] = acquisition_values(
+                    spec, mean[rows], sigma[rows], incumbent=incumbent, t=t, schedule=schedule
+                )
+                end += count
+        return values
+
+    def one_arm():
+        maximize(lambda x: utility(x, ei(0.01)), box, MaximizerConfig(seed=d + t))
+
+    if hasattr(maximizer, "_direct_search"):
+        def nine_arms():
+            maximize(utilities, box, configs)
+    else:
+        def nine_arms():
+            for spec, config in zip(arms, configs):
+                maximize(lambda x, spec=spec: utility(x, spec), box, config)
+
+    def counted(run):
+        def call():
+            evaluated.clear()
+            run()
+            return sum(evaluated)
+
+        return call
+
+    return {"one_arm": counted(one_arm), "nine_arm": counted(nine_arms)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, required=True, help="src directory of a checkout")
-    parser.add_argument("--label", required=True, help="section name: before, after")
+    parser.add_argument("--label", required=True, help="section name: parent, change")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to update")
     args = parser.parse_args(argv)
 
@@ -115,12 +154,35 @@ def main(argv=None) -> int:
     if not (src / "gphedge").is_dir():
         parser.error(f"no gphedge package under {src}")
     sys.path.insert(0, str(src))
+    calls = {
+        (d, t, arm): call
+        for d in DIMENSIONS
+        for t in OBSERVATIONS
+        for arm, call in case_calls(d, t).items()
+    }
+    points = {key: call() for key, call in calls.items()}
+    seconds = {key: [] for key in calls}
+    for _ in range(REPEATS):
+        for key, call in calls.items():
+            start = time.perf_counter()
+            call()
+            seconds[key].append(time.perf_counter() - start)
+
     section = {"environment": environment(src), "cases": []}
     for d in DIMENSIONS:
         for t in OBSERVATIONS:
-            case = time_case(d, t)
-            ms = case["median_s"] * 1e3
-            print(f"d={d:2d} t={t:3d}: {ms:8.1f} ms", file=sys.stderr)
+            case = {"d": d, "t": t}
+            for arm in ("one_arm", "nine_arm"):
+                repeats = seconds[d, t, arm]
+                case[arm] = {
+                    "min_s": min(repeats),
+                    "median_s": statistics.median(repeats),
+                    "repeats_s": repeats,
+                    "points_per_call": points[d, t, arm],
+                }
+            one, nine = (case[arm]["min_s"] * 1e3 for arm in ("one_arm", "nine_arm"))
+            print(f"d={d:2d} t={t:3d}: one arm {one:8.1f} ms, nine arms {nine:8.1f} ms",
+                  file=sys.stderr)
             section["cases"].append(case)
 
     document = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -248,17 +248,20 @@ def run(config: RunConfig) -> TrialRecord:
         try:
             mu_plus = float(posterior_mean(gp, gp.inputs).max())
 
+            # One posterior call answers the probes of every arm still
+            # searching; each arm's acquisition sees only its own rows.
             def utilities(points, counts):
+                mean, variance = posterior_predict_batch(gp, points)
+                sigma = np.sqrt(variance)
                 values = np.empty(points.shape[0])
                 end = 0
                 for spec, count in zip(arms, counts):
                     if count:
                         rows = slice(end, end + count)
-                        mean, variance = posterior_predict_batch(gp, points[rows])
                         values[rows] = acquisition_values(
                             spec,
-                            mean,
-                            np.sqrt(variance),
+                            mean[rows],
+                            sigma[rows],
                             incumbent=mu_plus,
                             t=t,
                             schedule=schedule,

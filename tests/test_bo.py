@@ -5,8 +5,10 @@ import pytest
 from pytest import approx
 
 from gphedge.acquisitions import ei, pi, ucb
+import gphedge.bo as bo_module
 from gphedge.bo import RunConfig, initial_design, run, run_gp_hedge, run_single
-from gphedge.gp import KernelParams, NumericsError
+from gphedge.gp import KernelParams, NumericsError, posterior_predict_batch
+from gphedge.harness import default_portfolio
 from gphedge.maximizer import BoxDomain, MaximizerConfig
 from gphedge.objectives import ObjectiveSpec, branin, sample_synthetic_objective
 
@@ -233,3 +235,54 @@ def test_config_validation():
         config(strategy="bandit")
     with pytest.raises(ValueError):
         config(reward_mode="other")
+
+
+def test_shared_posterior_call_matches_per_arm_calls(monkeypatch):
+    # Each sweep answers all arms' probes with one posterior call.  Every
+    # arm's slice of it must agree with a call on that slice alone; the
+    # tolerance, in standardized units, was fixed before measuring.
+    tolerance = 1e-12
+    shared = []
+
+    def recording(state, points):
+        mean, variance = posterior_predict_batch(state, points)
+        shared.append((state, mean, variance))
+        return mean, variance
+
+    def maximize(f, domain, configs):
+        def counted(points, counts):
+            values = f(points, counts)
+            state, mean, variance = shared[-1]
+            bounds = np.cumsum(counts)
+            for count, end in zip(counts, bounds):
+                if count:
+                    rows = slice(end - count, end)
+                    alone = posterior_predict_batch(state, points[rows])
+                    slices.append((alone, (mean[rows], variance[rows])))
+            return values
+
+        return original(counted, domain, configs)
+
+    slices = []
+    original = bo_module.maximize
+    monkeypatch.setattr(bo_module, "posterior_predict_batch", recording)
+    monkeypatch.setattr(bo_module, "maximize", maximize)
+    spec = branin()
+    run(
+        RunConfig(
+            objective=spec,
+            iterations=3,
+            acquisitions=default_portfolio(9),
+            strategy="hedge",
+            kernel=KernelParams([0.2, 0.3]),
+            noise_variance=1e-4,
+            output_mean=-50.0,
+            output_scale=50.0,
+            maximizer=MaximizerConfig(direct_budget=300, multistart_count=4, local_steps=10),
+            seed=3,
+        )
+    )
+    assert len(slices) > 9 * 3
+    for (mean, variance), (shared_mean, shared_variance) in slices:
+        assert np.max(np.abs(mean - shared_mean)) <= tolerance
+        assert np.max(np.abs(variance - shared_variance)) <= tolerance
