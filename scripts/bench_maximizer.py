@@ -9,7 +9,9 @@ plus pattern search), the inner problem of every BO iteration, twice:
 - nine arms: the ``gp-hedge-9`` portfolio.  A checkout with the lockstep
   maximizer (it has ``maximizer._direct_search``) solves all nine in one
   call that makes one posterior call per sweep; an older checkout makes
-  nine one-arm calls.
+  nine one-arm calls.  A checkout whose ``acquisition_values`` takes the
+  arms' row ``counts`` evaluates each sweep's acquisitions in that one
+  call, as ``bo.run`` does; an older one loops over the arms.
 
 Every call is made once to warm up, then ``REPEATS`` more times, going
 round-robin over all calls, so that the repeats of one call are spread over
@@ -40,6 +42,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -97,6 +100,7 @@ def case_calls(d: int, t: int) -> dict:
     box = unit_box(d)
     arms = default_portfolio(9)
     configs = [MaximizerConfig(seed=d + t + i) for i in range(len(arms))]
+    many_arm = "counts" in inspect.signature(acquisition_values).parameters
     evaluated = []
 
     def utility(points, spec):
@@ -110,6 +114,10 @@ def case_calls(d: int, t: int) -> dict:
         evaluated.append(points.shape[0])
         mean, variance = posterior_predict_batch(state, points)
         sigma = np.sqrt(variance)
+        if many_arm:
+            return acquisition_values(
+                arms, mean, sigma, incumbent=incumbent, t=t, schedule=schedule, counts=counts
+            )
         values = np.empty(points.shape[0])
         end = 0
         for spec, count in zip(arms, counts):

@@ -3,15 +3,12 @@
 from .acquisitions import (
     AcquisitionSpec,
     BetaSchedule,
-    acq_ei,
-    acq_pi,
-    acq_ucb,
     beta_t,
     ei,
     pi,
     ucb,
 )
-from .bo import RunConfig, TrialRecord, initial_design, run, run_gp_hedge, run_single
+from .bo import RunConfig, TrialRecord, initial_design, run
 from .gp import (
     GpState,
     KernelParams,

@@ -1,20 +1,20 @@
 """Closed-form acquisition functions over a GP posterior: PI, EI and GP-UCB.
 
-All three take the posterior marginals at a query point and are pure; the
-vectorized ``*_values`` variants operate on arrays of marginals and back the
-inner maximization loop.  GP-UCB's confidence width comes from a schedule
-over a finite candidate set.
+All three are pure functions of the posterior marginals.
+:func:`acquisition_values` evaluates them on arrays of marginals, for one
+arm or for every arm of a portfolio in one pass, and backs the inner
+maximization loop.  GP-UCB's confidence width comes from a schedule over a
+finite candidate set.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
-
-from .gp import Prediction
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -98,67 +98,68 @@ def beta_t(schedule: BetaSchedule, t: int) -> float:
     return 2.0 * math.log(schedule.cardinality * _BASEL * t * t / schedule.delta)
 
 
-def pi_values(mean, sigma, incumbent: float, xi: float) -> np.ndarray:
-    """Probability of improving on the incumbent by at least xi."""
-    mean = np.asarray(mean, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    gap = mean - incumbent - xi
-    positive = sigma > 0.0
-    safe = np.where(positive, sigma, 1.0)
-    return np.where(positive, normal_cdf(gap / safe), (gap > 0.0).astype(float))
-
-
-def ei_values(mean, sigma, incumbent: float, xi: float) -> np.ndarray:
-    """Expected improvement over the incumbent; zero wherever sigma is zero."""
-    mean = np.asarray(mean, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    gap = mean - incumbent - xi
-    positive = sigma > 0.0
-    safe = np.where(positive, sigma, 1.0)
-    z = gap / safe
-    values = np.where(positive, gap * normal_cdf(z) + safe * normal_pdf(z), 0.0)
-    return np.maximum(values, 0.0)
-
-
-def ucb_values(mean, sigma, t: int, nu: float, schedule: BetaSchedule) -> np.ndarray:
-    """Optimistic upper bound mean + sqrt(nu * beta_t) * sigma."""
-    mean = np.asarray(mean, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    return mean + math.sqrt(nu * beta_t(schedule, t)) * sigma
-
-
 def acquisition_values(
-    spec: AcquisitionSpec,
+    spec: AcquisitionSpec | Sequence[AcquisitionSpec],
     mean,
     sigma,
     incumbent: float | None = None,
     t: int | None = None,
     schedule: BetaSchedule | None = None,
+    counts=None,
 ) -> np.ndarray:
-    """Evaluate one acquisition on arrays of posterior marginals."""
-    if spec.kind == "pi":
-        if incumbent is None:
-            raise ValueError("pi needs the incumbent value")
-        return pi_values(mean, sigma, incumbent, spec.xi)
-    if spec.kind == "ei":
-        if incumbent is None:
-            raise ValueError("ei needs the incumbent value")
-        return ei_values(mean, sigma, incumbent, spec.xi)
-    if t is None or schedule is None:
-        raise ValueError("ucb needs the iteration index and a beta schedule")
-    return ucb_values(mean, sigma, t, spec.nu, schedule)
+    """Evaluate one acquisition, or several arms', on posterior marginals.
 
+    With one spec, ``mean`` and ``sigma`` are 1-d arrays of marginals.  With
+    a sequence of specs, they hold every arm's rows stacked arm by arm,
+    ``counts[arm]`` rows each (0 for an arm with none), the shape that a
+    lockstep ``maximize`` hands its objective.  All rows are evaluated in one
+    vectorized pass with per-row margins and UCB coefficients:
 
-def acq_pi(pred: Prediction, incumbent_mu_plus: float, xi: float) -> float:
-    sigma = math.sqrt(pred.variance)
-    return float(pi_values(pred.mean, sigma, incumbent_mu_plus, xi))
+    - PI: Phi((mean - incumbent - xi) / sigma), or [gap > 0] where sigma = 0;
+    - EI: gap Phi(z) + sigma phi(z), 0 where sigma = 0, clamped at 0;
+    - UCB: mean + sqrt(nu * beta_t) * sigma.
 
+    Every row goes through the same elementwise float operations as a call
+    on that arm's rows alone, so splitting or stacking the arms never
+    changes a bit of the result.
+    """
+    specs = (spec,) if isinstance(spec, AcquisitionSpec) else tuple(spec)
+    mean = np.asarray(mean, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if counts is None:
+        if len(specs) != 1:
+            raise ValueError("several specs need the row count of each")
+        counts = (mean.size,)
+    beta = 0.0
+    if any(s.kind == "ucb" for s in specs):
+        if t is None or schedule is None:
+            raise ValueError("ucb needs the iteration index and a beta schedule")
+        beta = beta_t(schedule, t)
+    if incumbent is None:
+        if not all(s.kind == "ucb" for s in specs):
+            raise ValueError("pi and ei need the incumbent value")
+        incumbent = 0.0  # read only by UCB rows, which discard it
+    # One row per arm of 0/1 kind flags, margin and UCB coefficient, then
+    # one column per evaluated row.
+    per_arm = [
+        v
+        for s in specs
+        for v in (s.kind == "pi", s.kind == "ei", s.kind == "ucb", s.xi, math.sqrt(s.nu * beta))
+    ]
+    is_pi, is_ei, is_ucb, xi, coef = (
+        np.array(per_arm, dtype=float).reshape(-1, 5).T.repeat(counts, axis=1)
+    )
 
-def acq_ei(pred: Prediction, incumbent_mu_plus: float, xi: float) -> float:
-    sigma = math.sqrt(pred.variance)
-    return float(ei_values(pred.mean, sigma, incumbent_mu_plus, xi))
-
-
-def acq_ucb(pred: Prediction, t: int, nu: float, schedule: BetaSchedule) -> float:
-    sigma = math.sqrt(pred.variance)
-    return float(ucb_values(pred.mean, sigma, t, nu, schedule))
+    gap = mean - incumbent - xi
+    positive = sigma > 0.0
+    safe = np.where(positive, sigma, 1.0)
+    z = gap / safe
+    cdf = normal_cdf(z)
+    improvement = np.where(
+        positive,
+        np.where(is_ei, gap * cdf + safe * normal_pdf(z), cdf),
+        (gap > 0.0) * is_pi,  # where sigma = 0: PI's step, and 0 for EI
+    )
+    # max(v, 0) leaves PI's probabilities as they are and clamps EI.
+    np.maximum(improvement, 0.0, out=improvement)
+    return np.where(is_ucb, mean + coef * sigma, improvement)

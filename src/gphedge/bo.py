@@ -248,26 +248,19 @@ def run(config: RunConfig) -> TrialRecord:
         try:
             mu_plus = float(posterior_mean(gp, gp.inputs).max())
 
-            # One posterior call answers the probes of every arm still
-            # searching; each arm's acquisition sees only its own rows.
+            # One posterior call and one acquisition pass answer the probes
+            # of every arm still searching, stacked arm by arm.
             def utilities(points, counts):
                 mean, variance = posterior_predict_batch(gp, points)
-                sigma = np.sqrt(variance)
-                values = np.empty(points.shape[0])
-                end = 0
-                for spec, count in zip(arms, counts):
-                    if count:
-                        rows = slice(end, end + count)
-                        values[rows] = acquisition_values(
-                            spec,
-                            mean[rows],
-                            sigma[rows],
-                            incumbent=mu_plus,
-                            t=t,
-                            schedule=schedule,
-                        )
-                        end += count
-                return values
+                return acquisition_values(
+                    arms,
+                    mean,
+                    np.sqrt(variance),
+                    incumbent=mu_plus,
+                    t=t,
+                    schedule=schedule,
+                    counts=counts,
+                )
 
             configs = [
                 replace(
@@ -355,17 +348,3 @@ def run(config: RunConfig) -> TrialRecord:
             record, gap=gap_series.values, regret=regret.instantaneous
         )
     return record
-
-
-def run_single(config: RunConfig) -> TrialRecord:
-    """Plain Bayesian optimization: one acquisition, no arm selection."""
-    if config.strategy != "single":
-        raise ValueError("run_single requires the 'single' strategy")
-    return run(config)
-
-
-def run_gp_hedge(config: RunConfig) -> TrialRecord:
-    """Portfolio optimization under a bandit strategy over the arms."""
-    if config.strategy == "single":
-        raise ValueError("run_gp_hedge requires a bandit strategy")
-    return run(config)

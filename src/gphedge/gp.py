@@ -74,17 +74,34 @@ def kernel_eval(a, b, params: KernelParams) -> float:
     return float(params.signal_variance * math.exp(-0.5 * float(r @ r)))
 
 
+def _scaled(x, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stacked points divided by the lengthscales, and their squared norms."""
+    xs = np.asarray(x, dtype=float).reshape(-1, params.dimension) / params.lengthscales
+    return xs, (xs * xs).sum(axis=1)
+
+
+def _kernel(xs, x_norms, zs, z_norms, signal_variance: float) -> np.ndarray:
+    """Cross-covariance of scaled points given their squared norms.
+
+    The squared distances are |x|^2 + |z|^2 - 2 x.z, clamped at zero.  The
+    chain runs in one array, each step the float operation it would be out
+    of place; multiplying by a unit signal variance changes no bit, so it
+    is skipped.
+    """
+    sq = xs @ zs.T
+    sq *= 2.0
+    np.subtract(x_norms[:, None] + z_norms[None, :], sq, out=sq)
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    if signal_variance != 1.0:
+        sq *= signal_variance
+    return sq
+
+
 def kernel_matrix(x, z, params: KernelParams) -> np.ndarray:
     """Cross-covariance matrix for row-stacked point sets x (n,d) and z (m,d)."""
-    xs = np.asarray(x, dtype=float).reshape(-1, params.dimension) / params.lengthscales
-    zs = np.asarray(z, dtype=float).reshape(-1, params.dimension) / params.lengthscales
-    sq = (
-        np.sum(xs * xs, axis=1)[:, None]
-        + np.sum(zs * zs, axis=1)[None, :]
-        - 2.0 * (xs @ zs.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return params.signal_variance * np.exp(-0.5 * sq)
+    return _kernel(*_scaled(x, params), *_scaled(z, params), params.signal_variance)
 
 
 @dataclass(frozen=True)
@@ -101,7 +118,11 @@ class GpState:
     """Immutable GP posterior over t observations.
 
     ``chol`` is the lower Cholesky factor of K + (noise_variance + jitter) I
-    and ``alpha`` solves that system against the outputs.
+    and ``alpha`` solves that system against the outputs.  ``scaled_inputs``
+    are the inputs divided by the lengthscales and ``scaled_norms`` their
+    squared norms, the kernel's view of the inputs that every posterior call
+    reuses; they are always computed from the whole input array, as
+    :func:`fit` does, so a state grown by :func:`update` holds the same bits.
     """
 
     inputs: np.ndarray
@@ -111,6 +132,8 @@ class GpState:
     chol: np.ndarray
     alpha: np.ndarray
     jitter: float
+    scaled_inputs: np.ndarray
+    scaled_norms: np.ndarray
 
     @property
     def count(self) -> int:
@@ -146,6 +169,7 @@ def fit(inputs, outputs, kernel: KernelParams, noise_variance: float) -> GpState
     if not (math.isfinite(noise_variance) and noise_variance >= 0.0):
         raise ValueError("noise_variance must be finite and non-negative")
     t = y.size
+    scaled, norms = _scaled(x, kernel)
     if t == 0:
         return GpState(
             inputs=_readonly(np.empty((0, kernel.dimension))),
@@ -155,7 +179,11 @@ def fit(inputs, outputs, kernel: KernelParams, noise_variance: float) -> GpState
             chol=_readonly(np.empty((0, 0))),
             alpha=_readonly(np.empty(0)),
             jitter=JITTER_INITIAL * kernel.signal_variance,
+            scaled_inputs=_readonly(scaled),
+            scaled_norms=_readonly(norms),
         )
+    # Not _kernel(scaled, ..., scaled, ...): NumPy computes ``a @ a.T`` as
+    # a symmetric product, whose bits differ from those of two equal arrays.
     gram = kernel_matrix(x, x, kernel)
     np.fill_diagonal(gram, kernel.signal_variance)
     gram[np.diag_indices(t)] += noise_variance
@@ -169,6 +197,8 @@ def fit(inputs, outputs, kernel: KernelParams, noise_variance: float) -> GpState
         chol=_readonly(chol),
         alpha=_readonly(alpha),
         jitter=jitter,
+        scaled_inputs=_readonly(scaled),
+        scaled_norms=_readonly(norms),
     )
 
 
@@ -182,8 +212,11 @@ def update(state: GpState, x, y: float) -> GpState:
     new_outputs = np.append(state.outputs, float(y))
     if t == 0:
         return fit(new_inputs, new_outputs, state.kernel, state.noise_variance)
-    cross = kernel_matrix(state.inputs, x[None, :], state.kernel)[:, 0]
-    diag = state.kernel.signal_variance + state.noise_variance + state.jitter
+    kernel = state.kernel
+    cross = _kernel(
+        state.scaled_inputs, state.scaled_norms, *_scaled(x, kernel), kernel.signal_variance
+    )[:, 0]
+    diag = kernel.signal_variance + state.noise_variance + state.jitter
     row = solve_triangular(state.chol, cross, lower=True, check_finite=False)
     pivot = diag - float(row @ row)
     if pivot <= 0.0:
@@ -194,20 +227,27 @@ def update(state: GpState, x, y: float) -> GpState:
     chol[t, :t] = row
     chol[t, t] = math.sqrt(pivot)
     alpha = cho_solve((chol, True), new_outputs, check_finite=False)
+    scaled, norms = _scaled(new_inputs, kernel)
     return GpState(
         inputs=_readonly(new_inputs),
         outputs=_readonly(new_outputs),
-        kernel=state.kernel,
+        kernel=kernel,
         noise_variance=state.noise_variance,
         chol=_readonly(chol),
         alpha=_readonly(alpha),
         jitter=state.jitter,
+        scaled_inputs=_readonly(scaled),
+        scaled_norms=_readonly(norms),
     )
 
 
 def _cross_and_mean(state: GpState, x) -> tuple[np.ndarray, np.ndarray]:
-    queries = np.asarray(x, dtype=float).reshape(-1, state.dimension)
-    cross = kernel_matrix(state.inputs, queries, state.kernel)
+    cross = _kernel(
+        state.scaled_inputs,
+        state.scaled_norms,
+        *_scaled(x, state.kernel),
+        state.kernel.signal_variance,
+    )
     return cross, cross.T @ state.alpha
 
 

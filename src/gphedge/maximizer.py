@@ -11,6 +11,7 @@ array state, and each sweep sends every arm's probes to one call.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .gp import NumericsError
 
 _ENVELOPE_EPS = 1e-4
 _MIN_STEP = 1e-12
+_PAIR_SIGNS = np.array([-1.0, 1.0])  # the lower probe of a pair, then the upper
 
 
 @dataclass(frozen=True)
@@ -120,17 +122,21 @@ def _potentially_optimal(arms, ranks, classes, values, n_arms):
     reps = reps.reshape(n_arms, -1)
     rep_vals = rep_vals.reshape(n_arms, -1)
     present = reps < n
-    # slopes[a, i, j] = (f_i - f_j) / (d_i - d_j), used only for j < i.  A
-    # class the arm lacks has value +inf, so its slopes are -inf from below
-    # and +inf to above and never set k_lo or k_hi of a class it has.
-    below = np.tri(classes.size, k=-1, dtype=bool)
+    # slopes[i, a, j] = (f_i - f_j) / (d_i - d_j) of arm a, used only for
+    # j < i.  A class the arm lacks has value +inf, so its slopes are -inf
+    # from below and +inf to above and never set k_lo or k_hi of a class it
+    # has.  k_hi reduces over i and k_lo, from a transposed copy, over j:
+    # both along the outer axis, which NumPy reduces fastest.
+    unused = _unused_pairs(classes.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = (rep_vals[:, :, None] - rep_vals[:, None, :]) / (
-            classes[:, None] - classes
-        )
-        k_lo = np.max(np.where(below, slopes, -math.inf), axis=2)
-        k_lo[np.arange(n_arms), np.argmax(present, axis=1)] = 0.0
-        k_hi = np.min(np.where(below, slopes, math.inf), axis=1)
+        slopes = np.subtract(rep_vals.T[:, :, None], rep_vals, order="C")
+        slopes /= (classes[:, None] - classes)[:, None, :]
+        from_below = slopes.transpose(2, 1, 0).copy()
+        np.copyto(slopes, math.inf, where=unused)
+        k_hi = slopes.min(axis=0)
+        np.copyto(from_below, -math.inf, where=unused.transpose(2, 1, 0))
+        k_lo = from_below.max(axis=0)
+        k_lo[np.arange(n_arms), present.argmax(axis=1)] = 0.0
         best = rep_vals.min(axis=1, keepdims=True)
         intercept = rep_vals - k_hi * classes
         keep = present & ~(k_lo > k_hi) & ~(
@@ -139,9 +145,18 @@ def _potentially_optimal(arms, ranks, classes, values, n_arms):
     return reps[keep]
 
 
+@functools.lru_cache(maxsize=64)
+def _unused_pairs(size: int) -> np.ndarray:
+    """Read-only (size, 1, size) mask of the class pairs (i, j) with j >= i."""
+    mask = ~np.tri(size, k=-1, dtype=bool)[:, None, :]
+    mask.flags.writeable = False
+    return mask
+
+
 def _half_diagonal(levels: np.ndarray) -> np.ndarray:
     """Half the diagonal of rectangles trisected ``levels`` times per side."""
-    return 0.5 * np.linalg.norm(3.0 ** (-levels.astype(float)), axis=1)
+    sides = 3.0 ** -levels
+    return 0.5 * np.sqrt((sides * sides).sum(axis=1))
 
 
 def _ranked(classes: np.ndarray, measures: np.ndarray, ranks: np.ndarray):
@@ -222,30 +237,33 @@ def _direct_search(g, dimension: int, budgets: np.ndarray) -> list:
             if n == 0:
                 return samples
         selected = _potentially_optimal(arms[:n], ranks[:n], classes, values[:n], k)
-        owner = arms[selected]
         lev = levels[selected]
         shortest = lev.min(axis=1)
         longest = lev == shortest[:, None]
         counts = longest.sum(axis=1)
         rect, dim = np.nonzero(longest)
         pairs = np.arange(rect.size)
+        pair_arms = arms[selected][rect]
         probes = np.repeat(centers[selected], 2 * counts, axis=0)
-        delta = (3.0 ** (-(shortest + 1)))[rect]
-        probes[2 * pairs, dim] -= delta
-        probes[2 * pairs + 1, dim] += delta
-        probed = 2 * np.bincount(owner[rect], minlength=k)
+        offsets = np.multiply.outer(3.0 ** (-1 - shortest[rect]), _PAIR_SIGNS)
+        probes.reshape(-1, 2, dimension)[pairs, :, dim] += offsets
+        probed = 2 * np.bincount(pair_arms, minlength=k)
         probe_vals = g(probes, probed)
 
         # Split each rectangle along its dimensions in order of the pair's
-        # better value (ties by dimension); each new pair of rectangles has
-        # the levels reached right after its own split.
+        # better value (ties by dimension).  A rectangle's pairs stay
+        # together in that order, so rect[split] == rect.  The q-th pair has
+        # split its rectangle's dimensions up to its own: its two new
+        # rectangles have those levels, and the rectangle itself those of
+        # its last pair.
         split = np.lexsort((np.minimum(probe_vals[0::2], probe_vals[1::2]), rect))
-        steps = np.zeros((rect.size, dimension), dtype=int)
-        steps[pairs, dim[split]] = 1
-        reached = np.cumsum(steps, axis=0)
-        starts = np.cumsum(counts) - counts
-        reached -= np.repeat(reached[starts] - steps[starts], counts, axis=0)
-        levels[selected] = lev + longest
+        position = np.empty_like(pairs)
+        position[split] = pairs
+        order = np.full(lev.shape, rect.size)
+        order[rect, dim] = position
+        pair_levels = lev[rect] + (order[rect] <= pairs[:, None])
+        last = np.cumsum(counts) - 1
+        levels[selected] = pair_levels[last]
 
         count = 2 * rect.size
         if n + count > capacity:
@@ -253,20 +271,18 @@ def _direct_search(g, dimension: int, budgets: np.ndarray) -> list:
             centers, levels, values, ranks, arms = (
                 _grown(a, capacity) for a in (centers, levels, values, ranks, arms)
             )
-        take = np.repeat(2 * split, 2)
-        take[1::2] += 1
         new = slice(n, n + count)
-        centers[new] = probes[take]
-        values[new] = probe_vals[take]
-        levels[new] = np.repeat(np.repeat(lev, counts, axis=0) + reached, 2, axis=0)
-        arms[new] = np.repeat(owner[rect], 2)
-        changed = np.concatenate([selected, np.arange(n, n + count)])
-        classes, changed_ranks, moved = _ranked(
-            classes, _half_diagonal(levels[changed]), ranks[:n]
+        centers[new] = probes.reshape(-1, 2, dimension)[split].reshape(-1, dimension)
+        values[new] = probe_vals.reshape(-1, 2)[split].reshape(-1)
+        levels[new] = pair_levels.repeat(2, axis=0)
+        arms[new] = pair_arms.repeat(2)
+        classes, pair_ranks, moved = _ranked(
+            classes, _half_diagonal(pair_levels), ranks[:n]
         )
         if moved is not None:
             ranks[:n] = moved[ranks[:n]]
-        ranks[changed] = changed_ranks
+        ranks[selected] = pair_ranks[last]
+        ranks[new] = pair_ranks.repeat(2)
         n += count
         sizes += probed
 
@@ -284,8 +300,8 @@ def _pattern_search(g, starts: np.ndarray, owners: np.ndarray, steps: np.ndarray
     n, dimension = starts.shape
     out_x = starts.copy()
     out_f = g(out_x, np.bincount(owners, minlength=k))
-    rows = np.arange(n)
-    x, fx, owner = out_x.copy(), out_f.copy(), owners
+    rows = at = np.arange(n)
+    x, fx, owner = out_x, out_f, owners
     step = np.full(n, 0.25)
     counts = 2 * dimension * np.bincount(owner, minlength=k)
     eye = np.eye(dimension)
@@ -305,16 +321,17 @@ def _pattern_search(g, starts: np.ndarray, owners: np.ndarray, steps: np.ndarray
                 )
                 if rows.size == 0:
                     break
+                at = np.arange(rows.size)
                 counts = 2 * dimension * np.bincount(owner, minlength=k)
-        probes = x[:, None, :] + step[:, None, None] * moves[None, :, :]
+        probes = x[:, None, :] + step[:, None, None] * moves
         np.clip(probes, 0.0, 1.0, out=probes)
         vals = g(probes.reshape(-1, dimension), counts).reshape(rows.size, -1)
-        best_idx = np.argmin(vals, axis=1)
-        best_val = vals[np.arange(rows.size), best_idx]
+        best = vals.argmin(axis=1)
+        best_val = vals[at, best]
         improved = best_val < fx
-        x[improved] = probes[improved, best_idx[improved]]
-        fx[improved] = best_val[improved]
-        step[~improved] *= 0.5
+        x = np.where(improved[:, None], probes[at, best], x)
+        fx = np.where(improved, best_val, fx)
+        step = np.where(improved, step, 0.5 * step)
     out_x[rows], out_f[rows] = x, fx
     return out_x, out_f
 

@@ -5,27 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
+from scipy.special import erfc
 
 from gphedge.acquisitions import (
     AcquisitionSpec,
     BetaSchedule,
-    acq_ei,
-    acq_pi,
-    acq_ucb,
     acquisition_values,
     beta_t,
     ei,
-    ei_values,
     pi,
-    pi_values,
     ucb,
-    ucb_values,
 )
-from gphedge.gp import Prediction
 
 
-def pred(mean, variance, noise=0.0):
-    return Prediction(mean=mean, variance=variance, noisy_variance=variance + noise)
+def acq_pi(mean, variance, incumbent, xi):
+    """PI at one point, through the vectorized pass."""
+    return float(acquisition_values(pi(xi), [mean], [math.sqrt(variance)], incumbent)[0])
+
+
+def acq_ei(mean, variance, incumbent, xi):
+    return float(acquisition_values(ei(xi), [mean], [math.sqrt(variance)], incumbent)[0])
+
+
+def acq_ucb(mean, variance, t, nu, schedule):
+    return float(
+        acquisition_values(ucb(nu), [mean], [math.sqrt(variance)], t=t, schedule=schedule)[0]
+    )
 
 
 # Schedule crafted so that beta_1 = 10 exactly: delta = 50 (pi^2/6) / e^5.
@@ -33,28 +38,28 @@ _BETA10 = BetaSchedule(delta=0.554173927970673, cardinality=50)
 
 
 def test_pi_at_the_margin_is_one_half():
-    assert acq_pi(pred(1.26, 4.0), incumbent_mu_plus=1.0, xi=0.26) == approx(0.5)
+    assert acq_pi(1.26, 4.0, 1.0, 0.26) == approx(0.5)
 
 
 def test_pi_one_sigma_above_margin():
-    assert acq_pi(pred(2.5, 1.0), incumbent_mu_plus=1.5, xi=0.0) == approx(
+    assert acq_pi(2.5, 1.0, 1.5, 0.0) == approx(
         0.8413447460685429, abs=1e-12
     )
 
 
 def test_pi_zero_uncertainty_cases():
-    assert acq_pi(pred(0.5, 0.0), incumbent_mu_plus=1.0, xi=0.0) == 0.0
-    assert acq_pi(pred(1.5, 0.0), incumbent_mu_plus=1.0, xi=0.0) == 1.0
-    assert acq_pi(pred(1.0, 0.0), incumbent_mu_plus=1.0, xi=0.0) == 0.0
+    assert acq_pi(0.5, 0.0, 1.0, 0.0) == 0.0
+    assert acq_pi(1.5, 0.0, 1.0, 0.0) == 1.0
+    assert acq_pi(1.0, 0.0, 1.0, 0.0) == 0.0
 
 
 def test_ei_zero_sigma_is_zero():
     for mean in (-3.0, 0.0, 5.0):
-        assert acq_ei(pred(mean, 0.0), incumbent_mu_plus=0.0, xi=0.0) == 0.0
+        assert acq_ei(mean, 0.0, 0.0, 0.0) == 0.0
 
 
 def test_ei_at_zero_gap_equals_standard_normal_density():
-    assert acq_ei(pred(1.0, 1.0), incumbent_mu_plus=1.0, xi=0.0) == approx(
+    assert acq_ei(1.0, 1.0, 1.0, 0.0) == approx(
         0.3989422804014327, abs=1e-12
     )
 
@@ -63,25 +68,25 @@ def test_ei_matches_monte_carlo_oracle():
     rng = np.random.default_rng(77)
     samples = rng.standard_normal(10**6)
     estimate = np.maximum(samples, 0.0)
-    closed = acq_ei(pred(0.0, 1.0), incumbent_mu_plus=0.0, xi=0.0)
+    closed = acq_ei(0.0, 1.0, 0.0, 0.0)
     stderr = estimate.std() / math.sqrt(samples.size)
     assert abs(closed - estimate.mean()) < 3 * stderr
 
 
 def test_ucb_zero_sigma_returns_the_mean():
-    assert acq_ucb(pred(1.75, 0.0), t=3, nu=0.2, schedule=_BETA10) == approx(1.75)
+    assert acq_ucb(1.75, 0.0, t=3, nu=0.2, schedule=_BETA10) == approx(1.75)
 
 
 def test_ucb_hand_computed_value():
     assert beta_t(_BETA10, 1) == approx(10.0, abs=1e-9)
-    assert acq_ucb(pred(0.0, 1.0), t=1, nu=0.2, schedule=_BETA10) == approx(
+    assert acq_ucb(0.0, 1.0, t=1, nu=0.2, schedule=_BETA10) == approx(
         math.sqrt(2.0), abs=1e-9
     )
 
 
 def test_ucb_increases_with_nu():
     values = [
-        acq_ucb(pred(0.0, 0.5), t=2, nu=nu, schedule=_BETA10)
+        acq_ucb(0.0, 0.5, t=2, nu=nu, schedule=_BETA10)
         for nu in (0.1, 0.2, 1.0, 5.0)
     ]
     assert all(a < b for a, b in zip(values, values[1:]))
@@ -140,12 +145,12 @@ def test_spec_validation_and_labels():
 @settings(max_examples=100, deadline=None)
 def test_translation_identity(mean, sigma, incumbent, xi, shift):
     variance = sigma * sigma
-    base_pi = acq_pi(pred(mean, variance), incumbent, xi)
-    base_ei = acq_ei(pred(mean, variance), incumbent, xi)
-    assert acq_pi(pred(mean + shift, variance), incumbent + shift, xi) == approx(
+    base_pi = acq_pi(mean, variance, incumbent, xi)
+    base_ei = acq_ei(mean, variance, incumbent, xi)
+    assert acq_pi(mean + shift, variance, incumbent + shift, xi) == approx(
         base_pi, rel=1e-12, abs=1e-12
     )
-    assert acq_ei(pred(mean + shift, variance), incumbent + shift, xi) == approx(
+    assert acq_ei(mean + shift, variance, incumbent + shift, xi) == approx(
         base_ei, rel=1e-9, abs=1e-12
     )
 
@@ -153,9 +158,9 @@ def test_translation_identity(mean, sigma, incumbent, xi, shift):
 @given(st.floats(-30, 30), st.floats(0, 10), st.floats(-30, 30), st.floats(0, 5))
 @settings(max_examples=200, deadline=None)
 def test_ranges_and_finiteness(mean, sigma, incumbent, xi):
-    p = acq_pi(pred(mean, sigma * sigma), incumbent, xi)
-    e = acq_ei(pred(mean, sigma * sigma), incumbent, xi)
-    u = acq_ucb(pred(mean, sigma * sigma), t=5, nu=0.2, schedule=_BETA10)
+    p = acq_pi(mean, sigma * sigma, incumbent, xi)
+    e = acq_ei(mean, sigma * sigma, incumbent, xi)
+    u = acq_ucb(mean, sigma * sigma, t=5, nu=0.2, schedule=_BETA10)
     assert 0.0 <= p <= 1.0
     assert e >= 0.0
     assert math.isfinite(p) and math.isfinite(e) and math.isfinite(u)
@@ -163,7 +168,7 @@ def test_ranges_and_finiteness(mean, sigma, incumbent, xi):
 
 def test_ucb_nondecreasing_in_sigma():
     sigmas = np.linspace(0.0, 3.0, 40)
-    values = ucb_values(np.zeros_like(sigmas), sigmas, t=4, nu=0.2, schedule=_BETA10)
+    values = acquisition_values(ucb(0.2), np.zeros_like(sigmas), sigmas, t=4, schedule=_BETA10)
     assert np.all(np.diff(values) >= 0.0)
 
 
@@ -173,13 +178,67 @@ def test_vectorized_forms_match_scalar_ops():
     sigmas = rng.uniform(0, 2, size=20)
     sigmas[0] = 0.0
     for i in range(20):
-        p = pred(means[i], sigmas[i] ** 2)
-        assert pi_values(means, sigmas, 0.3, 0.01)[i] == approx(
-            acq_pi(p, 0.3, 0.01), abs=1e-14
+        variance = sigmas[i] ** 2
+        assert acquisition_values(pi(0.01), means, sigmas, 0.3)[i] == approx(
+            acq_pi(means[i], variance, 0.3, 0.01), abs=1e-14
         )
-        assert ei_values(means, sigmas, 0.3, 0.01)[i] == approx(
-            acq_ei(p, 0.3, 0.01), abs=1e-14
+        assert acquisition_values(ei(0.01), means, sigmas, 0.3)[i] == approx(
+            acq_ei(means[i], variance, 0.3, 0.01), abs=1e-14
         )
+
+
+def _frozen_reference(spec, mean, sigma, incumbent, t, schedule):
+    """The per-kind expressions from before the one-pass evaluation."""
+    if spec.kind == "ucb":
+        return mean + math.sqrt(spec.nu * beta_t(schedule, t)) * sigma
+    gap = mean - incumbent - spec.xi
+    positive = sigma > 0.0
+    safe = np.where(positive, sigma, 1.0)
+    z = gap / safe
+    cdf = 0.5 * erfc(-z / math.sqrt(2.0))
+    if spec.kind == "pi":
+        return np.where(positive, cdf, (gap > 0.0).astype(float))
+    pdf = 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * z * z)
+    return np.maximum(np.where(positive, gap * cdf + safe * pdf, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("n_arms", [1, 3, 9])
+def test_many_arm_pass_is_bit_identical_to_per_arm_calls(n_arms):
+    rng = np.random.default_rng(n_arms)
+    schedule = BetaSchedule(delta=0.1, cardinality=20_000)
+    kinds = ("pi", "ei", "ucb")
+    for trial in range(40):
+        specs = [
+            AcquisitionSpec(
+                kinds[(trial + a) % 3] if n_arms > 1 else kinds[trial % 3],
+                xi=float(rng.choice([0.0, 0.01, 0.1, 1.0])),
+                nu=float(rng.choice([0.1, 0.2, 1.0])),
+                label=str(a),
+            )
+            for a in range(n_arms)
+        ]
+        counts = rng.integers(0, 12, size=n_arms)
+        if n_arms > 1:
+            counts[rng.integers(n_arms)] = 0
+        n = int(counts.sum())
+        mean = rng.normal(scale=rng.choice([1e-3, 1.0, 30.0]), size=n)
+        sigma = rng.uniform(0.0, 2.0, size=n) ** 3
+        sigma[rng.random(n) < 0.25] = 0.0
+        incumbent = float(rng.normal())
+        t = int(rng.integers(1, 200))
+        stacked = acquisition_values(
+            specs, mean, sigma, incumbent=incumbent, t=t, schedule=schedule, counts=counts
+        )
+        end = 0
+        for spec, count in zip(specs, counts):
+            rows = slice(end, end + count)
+            alone = acquisition_values(
+                spec, mean[rows], sigma[rows], incumbent=incumbent, t=t, schedule=schedule
+            )
+            frozen = _frozen_reference(spec, mean[rows], sigma[rows], incumbent, t, schedule)
+            assert np.array_equal(stacked[rows], alone)
+            assert np.array_equal(alone, frozen)
+            end += count
 
 
 def test_dispatcher_requires_context():
@@ -189,3 +248,9 @@ def test_dispatcher_requires_context():
         acquisition_values(ucb(), [0.0], [1.0])
     out = acquisition_values(ei(), [0.0], [1.0], incumbent=0.0)
     assert out.shape == (1,)
+    with pytest.raises(ValueError):
+        acquisition_values((pi(), ei()), [0.0, 1.0], [1.0, 1.0], incumbent=0.0)
+    out = acquisition_values(
+        (pi(), ucb()), [0.0, 1.0], [1.0, 1.0], incumbent=0.0, t=1, schedule=_BETA10, counts=(1, 1)
+    )
+    assert out.shape == (2,)

@@ -6,7 +6,7 @@ from pytest import approx
 
 from gphedge.acquisitions import ei, pi, ucb
 import gphedge.bo as bo_module
-from gphedge.bo import RunConfig, initial_design, run, run_gp_hedge, run_single
+from gphedge.bo import RunConfig, initial_design, run
 from gphedge.gp import KernelParams, NumericsError, posterior_predict_batch
 from gphedge.harness import default_portfolio
 from gphedge.maximizer import BoxDomain, MaximizerConfig
@@ -56,18 +56,14 @@ def test_different_seed_changes_the_run():
 
 def test_single_arm_portfolio_degenerates_to_plain_bo():
     for seed in (0, 5):
-        single = run_single(config(strategy="single", acqs=(ei(),), seed=seed))
-        hedged = run_gp_hedge(config(strategy="hedge", acqs=(ei(),), seed=seed))
+        single = run(config(strategy="single", acqs=(ei(),), seed=seed))
+        hedged = run(config(strategy="hedge", acqs=(ei(),), seed=seed))
         assert single.x.tobytes() == hedged.x.tobytes()
         assert single.y.tobytes() == hedged.y.tobytes()
         assert single.nominees.tobytes() == hedged.nominees.tobytes()
 
 
 def test_driver_preconditions():
-    with pytest.raises(ValueError):
-        run_single(config(strategy="hedge", acqs=(ei(),)))
-    with pytest.raises(ValueError):
-        run_gp_hedge(config(strategy="single", acqs=(ei(),)))
     with pytest.raises(ValueError):
         config(strategy="single", acqs=(pi(), ei()))
     with pytest.raises(ValueError):

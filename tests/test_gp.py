@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+import gphedge.gp as gp_module
 from gphedge.gp import (
     KernelParams,
     fit,
@@ -14,6 +15,7 @@ from gphedge.gp import (
     kernel_eval,
     kernel_matrix,
     log_marginal_likelihood,
+    posterior_mean,
     posterior_predict,
     posterior_predict_batch,
     update,
@@ -184,6 +186,68 @@ def test_incremental_update_equals_batch_fit(seed):
     assert np.array_equal(state.outputs, batch.outputs)
     assert np.allclose(state.chol, batch.chol, atol=1e-10)
     assert np.allclose(state.alpha, batch.alpha, atol=1e-10)
+
+
+def _frozen_kernel_matrix(x, z, params):
+    """The out-of-place kernel expression from before the in-place chain."""
+    xs = np.asarray(x, dtype=float).reshape(-1, params.dimension) / params.lengthscales
+    zs = np.asarray(z, dtype=float).reshape(-1, params.dimension) / params.lengthscales
+    sq = (
+        np.sum(xs * xs, axis=1)[:, None]
+        + np.sum(zs * zs, axis=1)[None, :]
+        - 2.0 * (xs @ zs.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return params.signal_variance * np.exp(-0.5 * sq)
+
+
+@pytest.mark.parametrize("signal_variance", [1.0, 0.3, 2.5])
+def test_kernel_matrix_is_bit_identical_to_the_frozen_expression(signal_variance):
+    rng = np.random.default_rng(int(signal_variance * 10))
+    for _ in range(60):
+        d = int(rng.integers(1, 7))
+        params = KernelParams(rng.uniform(1e-2, 3.0, size=d), signal_variance)
+        x = rng.uniform(-1.0, 2.0, size=(int(rng.integers(1, 30)), d))
+        z = rng.uniform(-1.0, 2.0, size=(int(rng.integers(1, 30)), d))
+        z[: min(3, len(z), len(x))] = x[: min(3, len(z), len(x))]  # zero distances
+        assert np.array_equal(kernel_matrix(x, z, params), _frozen_kernel_matrix(x, z, params))
+        state = fit(x, rng.standard_normal(len(x)), params, 1e-3)
+        frozen_mean = _frozen_kernel_matrix(x, z, params).T @ state.alpha
+        assert np.array_equal(posterior_mean(state, z), frozen_mean)
+
+
+def test_fit_factors_the_frozen_gram():
+    rng = np.random.default_rng(11)
+    for t, d in ((5, 2), (100, 2), (60, 6)):
+        x = rng.random((t, d))
+        kernel = KernelParams(np.full(d, 0.3))
+        state = fit(x, rng.standard_normal(t), kernel, 1e-6)
+        gram = _frozen_kernel_matrix(x, x, kernel)
+        np.fill_diagonal(gram, kernel.signal_variance)
+        gram[np.diag_indices(t)] += 1e-6
+        expected = np.linalg.cholesky(gram + state.jitter * np.eye(t))
+        assert np.array_equal(state.chol, expected)
+
+
+def test_cached_scaled_inputs_match_a_fresh_fit(monkeypatch):
+    inputs, outputs, kernel, noise = random_dataset(7, max_t=12, min_t=8)
+    kernel = KernelParams(kernel.lengthscales, 2.5)
+    state = fit(inputs[:0], outputs[:0], kernel, noise)
+    for i in range(1, len(outputs) + 1):
+        if i == 5:
+            # A row this long eats the pivot, so the update refits from scratch.
+            with monkeypatch.context() as m:
+                m.setattr(
+                    gp_module, "solve_triangular", lambda chol, b, **kw: np.full(b.size, 1e3)
+                )
+                state = update(state, inputs[i - 1], outputs[i - 1])
+        else:
+            state = update(state, inputs[i - 1], outputs[i - 1])
+        fresh = fit(inputs[:i], outputs[:i], kernel, noise)
+        assert np.array_equal(state.scaled_inputs, fresh.scaled_inputs)
+        assert np.array_equal(state.scaled_norms, fresh.scaled_norms)
+        if i == 5:
+            assert np.array_equal(state.chol, fresh.chol)
 
 
 def test_chol_reconstructs_noisy_gram():

@@ -196,11 +196,12 @@ def test_one_of_nine_arms_returning_nan_names_the_arm(monkeypatch):
     import gphedge.bo as bo_module
 
     original = bo_module.acquisition_values
-    broken = default_portfolio(9)[4]
 
-    def nan_for_one_arm(spec, mean, sigma, **kwargs):
-        values = original(spec, mean, sigma, **kwargs)
-        return np.full_like(values, np.nan) if spec == broken else values
+    def nan_for_one_arm(specs, mean, sigma, counts, **kwargs):
+        values = original(specs, mean, sigma, counts=counts, **kwargs)
+        ends = np.cumsum(counts)
+        values[ends[4] - counts[4] : ends[4]] = np.nan
+        return values
 
     monkeypatch.setattr(bo_module, "acquisition_values", nan_for_one_arm)
     table = run_experiment(tiny_config(strategies=("gp-hedge-9",), trials=1))
