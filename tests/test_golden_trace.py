@@ -70,6 +70,28 @@ CONFIGS = (
             maximizer=dict(direct_budget=1200),
         ),
     ),
+    (
+        "synthetic2",
+        dict(
+            objective="synthetic",
+            objective_params={"dimension": 2, "seed": 3},
+            strategies=("gp-hedge-3", "ucb"),
+            iterations=6,
+        ),
+    ),
+    (
+        # The only experiment whose observations come from an objective's
+        # own ``draw``.
+        "repellers",
+        dict(
+            objective="repellers",
+            objective_params={"horizon": 20, "eval_rollouts": 16},
+            hyperfit_samples=60,
+            strategies=("gp-hedge-3", "ei"),
+            iterations=4,
+            maximizer=dict(direct_budget=90, multistart_count=3, local_steps=8),
+        ),
+    ),
 )
 
 
