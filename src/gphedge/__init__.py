@@ -13,12 +13,9 @@ from .gp import (
     GpState,
     KernelParams,
     NumericsError,
-    Prediction,
     fit,
     fit_hyperparameters,
-    kernel_eval,
     log_marginal_likelihood,
-    posterior_predict,
     posterior_predict_batch,
     update,
 )
@@ -52,8 +49,6 @@ from .objectives import (
     hartman6,
     load_synthetic,
     repeller_objective,
-    repeller_rollout,
-    repeller_trajectory,
     repellers,
     sample_synthetic_objective,
     save_synthetic,
@@ -63,7 +58,6 @@ from .portfolio import (
     new_portfolio,
     observe,
     probabilities,
-    reward_from_gp,
     select_arm,
     update_exp3,
     update_hedge,

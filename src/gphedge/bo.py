@@ -1,11 +1,11 @@
-"""Optimization drivers: single-acquisition search and the bandit portfolio.
+"""Optimization driver: Bayesian optimization with a bandit portfolio of arms.
 
 One trial is a single logical thread of state evolution.  Every iteration
 each arm nominates the maximizer of its acquisition (all arms in one
 lockstep maximizer call), the strategy picks one nominee, the objective is
 sampled there, the GP absorbs the observation and every arm is rewarded
-with the posterior mean at its own nominee.  With one
-arm and the ``single`` strategy this reduces to plain Bayesian optimization.
+with the posterior mean at its own nominee.  With one arm the bandit has
+nothing to choose and this is plain Bayesian optimization.
 
 Randomness is split into independent streams so that trials are
 reproducible and pairable: the initial design and observation noise depend
@@ -39,7 +39,7 @@ from .maximizer import (
     unit_box,
 )
 from .objectives import ObjectiveSpec
-from .portfolio import new_portfolio, observe, probabilities, select_arm
+from .portfolio import STRATEGIES, new_portfolio, observe, probabilities, select_arm
 
 _STREAM_INIT = 1
 _STREAM_NOISE = 2
@@ -56,25 +56,20 @@ class RunConfig:
     deterministic objectives) see identical noise draws.
     ``gp_noise_variance`` is the surrogate's modeled noise in standardized
     output units and defaults to the observation noise rescaled by
-    ``output_scale``.
+    ``output_scale``.  A single acquisition is a one-arm portfolio under any
+    strategy.
     """
 
     objective: ObjectiveSpec
     iterations: int
     acquisitions: tuple[AcquisitionSpec, ...]
-    strategy: str = "single"
+    strategy: str = "hedge"
     kernel: KernelParams | None = None
     noise_variance: float = 0.0
     init_samples: int = 2
     maximizer: MaximizerConfig = MaximizerConfig()
     seed: int = 0
     pair_seed: int | None = None
-    beta_delta: float = 0.1
-    beta_cardinality: int | None = None
-    eta: float | None = None
-    exp3_gamma: float = 0.1
-    rescale_rewards: bool = True
-    reward_mode: str = "updated"
     output_mean: float = 0.0
     output_scale: float = 1.0
     gp_noise_variance: float | None = None
@@ -82,14 +77,10 @@ class RunConfig:
     def __post_init__(self):
         if self.iterations < 1 or self.init_samples < 1:
             raise ValueError("iterations and init_samples must be positive")
-        if self.strategy not in ("single", "hedge", "exp3", "normalhedge", "uniform"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "single" and len(self.acquisitions) != 1:
-            raise ValueError("single strategy requires exactly one acquisition")
         if len(self.acquisitions) < 1:
             raise ValueError("at least one acquisition is required")
-        if self.reward_mode not in ("updated", "lagged"):
-            raise ValueError("reward_mode is 'updated' or 'lagged'")
         if self.seed < 0 or (self.pair_seed is not None and self.pair_seed < 0):
             raise ValueError("seeds must be non-negative")
         if self.noise_variance < 0.0 or self.output_scale <= 0.0:
@@ -196,8 +187,7 @@ def run(config: RunConfig) -> TrialRecord:
         else config.noise_variance / scale**2
     )
     noise_std = math.sqrt(config.noise_variance)
-    cardinality = config.beta_cardinality or 10_000 * d
-    schedule = BetaSchedule(delta=config.beta_delta, cardinality=cardinality)
+    schedule = BetaSchedule(cardinality=10_000 * d)
     unit = unit_box(d)
     ucb_arm = next((i for i, a in enumerate(arms) if a.kind == "ucb"), -1)
 
@@ -215,20 +205,11 @@ def run(config: RunConfig) -> TrialRecord:
         init_y[i], f_true_init[i] = _observe(objective, init_raw[i], noise_std, rng_noise)
     gp = fit(init_unit, (init_y - shift) / scale, kernel, gp_noise)
 
-    bandit_kind = "uniform" if config.strategy == "single" else config.strategy
-    # Horizon-aware learning rate by default: the horizon-free eta_t is far
-    # too aggressive in the first rounds and locks onto early random leaders
+    # Horizon-aware learning rate: the horizon-free eta_t is far too
+    # aggressive in the first rounds and locks onto early random leaders
     # before the surrogate knows anything.
-    eta = config.eta
-    if eta is None:
-        eta = math.sqrt(8.0 * math.log(max(n_arms, 2)) / T)
-    bandit = new_portfolio(
-        bandit_kind,
-        n_arms,
-        eta=eta,
-        exp3_gamma=config.exp3_gamma,
-        rescale=config.rescale_rewards,
-    )
+    eta = math.sqrt(8.0 * math.log(max(n_arms, 2)) / T)
+    bandit = new_portfolio(config.strategy, n_arms, eta=eta)
 
     nominees_unit = np.empty((T, n_arms, d))
     probs = np.empty((T, n_arms))
@@ -272,7 +253,7 @@ def run(config: RunConfig) -> TrialRecord:
             nominees_unit[t - 1], _ = maximize(utilities, unit, configs)
 
             probs[t - 1] = probabilities(bandit)
-            j = 0 if config.strategy == "single" else select_arm(bandit, rng_select)
+            j = select_arm(bandit, rng_select)
             chosen[t - 1] = j
             x_unit = nominees_unit[t - 1, j]
             xs_unit[t - 1] = x_unit
@@ -285,8 +266,6 @@ def run(config: RunConfig) -> TrialRecord:
                     gp, nominees_unit[t - 1, ucb_arm][None, :]
                 )
                 var_prev_ucb[t - 1] = ucb_var[0]
-            if config.reward_mode == "lagged":
-                reward_mean = posterior_mean(gp, nominees_unit[t - 1])
 
             x_raw = domain.from_unit(x_unit)
             y_t, f_t = _observe(objective, x_raw, noise_std, rng_noise)
@@ -298,9 +277,7 @@ def run(config: RunConfig) -> TrialRecord:
             f_true[t - 1] = f_t
             gp = update(gp, x_unit, (y_t - shift) / scale)
 
-            if config.reward_mode == "updated":
-                reward_mean = posterior_mean(gp, nominees_unit[t - 1])
-            rewards[t - 1] = reward_mean * scale + shift
+            rewards[t - 1] = posterior_mean(gp, nominees_unit[t - 1]) * scale + shift
             bandit = observe(bandit, rewards[t - 1], j)
             gains[t - 1] = bandit.gains
             best_seen = max(best_seen, y_t)
@@ -323,8 +300,8 @@ def run(config: RunConfig) -> TrialRecord:
         gp_noise_variance=gp_noise,
         output_mean=shift,
         output_scale=scale,
-        beta_delta=config.beta_delta,
-        beta_cardinality=cardinality,
+        beta_delta=schedule.delta,
+        beta_cardinality=schedule.cardinality,
         init_x=init_raw,
         init_y=init_y,
         f_true_init=f_true_init,

@@ -61,22 +61,14 @@ class KernelParams:
         return self.lengthscales.size
 
 
-def kernel_eval(a, b, params: KernelParams) -> float:
-    """Covariance between two points: sv * exp(-0.5 * sum(((a-b)/ls)^2))."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.size != params.dimension or b.size != params.dimension:
-        raise ValueError(
-            f"points must have dimension {params.dimension}, "
-            f"got {a.size} and {b.size}"
-        )
-    r = (a - b) / params.lengthscales
-    return float(params.signal_variance * math.exp(-0.5 * float(r @ r)))
-
-
 def _scaled(x, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
     """Row-stacked points divided by the lengthscales, and their squared norms."""
-    xs = np.asarray(x, dtype=float).reshape(-1, params.dimension) / params.lengthscales
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (params.dimension,):
+        raise ValueError(
+            f"points must have dimension {params.dimension}, got shape {x.shape}"
+        )
+    xs = x.reshape(-1, params.dimension) / params.lengthscales
     return xs, (xs * xs).sum(axis=1)
 
 
@@ -102,15 +94,6 @@ def _kernel(xs, x_norms, zs, z_norms, signal_variance: float) -> np.ndarray:
 def kernel_matrix(x, z, params: KernelParams) -> np.ndarray:
     """Cross-covariance matrix for row-stacked point sets x (n,d) and z (m,d)."""
     return _kernel(*_scaled(x, params), *_scaled(z, params), params.signal_variance)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Posterior marginals at a query point."""
-
-    mean: float
-    variance: float
-    noisy_variance: float
 
 
 @dataclass(frozen=True)
@@ -271,15 +254,6 @@ def posterior_predict_batch(state: GpState, x) -> tuple[np.ndarray, np.ndarray]:
     variance = prior - np.einsum("ij,ij->j", v, v)
     np.maximum(variance, 0.0, out=variance)
     return mean, variance
-
-
-def posterior_predict(state: GpState, x) -> Prediction:
-    mean, variance = posterior_predict_batch(state, np.asarray(x, dtype=float)[None, :])
-    return Prediction(
-        mean=float(mean[0]),
-        variance=float(variance[0]),
-        noisy_variance=float(variance[0]) + state.noise_variance,
-    )
 
 
 def log_marginal_likelihood(state: GpState) -> float:

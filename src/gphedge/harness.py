@@ -53,10 +53,13 @@ class StrategyDef:
 
 
 def parse_strategy(name: str) -> StrategyDef:
-    """Resolve a strategy name into its kind and arm list."""
+    """Resolve a strategy name into its kind and arm list.
+
+    A single acquisition is a one-arm GP-Hedge portfolio.
+    """
     singles = {"pi": pi(0.01), "ei": ei(0.01), "ucb": ucb(0.2)}
     if name in singles:
-        return StrategyDef(name, "single", (singles[name],))
+        return StrategyDef(name, "hedge", (singles[name],))
     prefixes = {
         "gp-hedge": "hedge",
         "exp3": "exp3",

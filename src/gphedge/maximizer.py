@@ -56,20 +56,8 @@ class BoxDomain:
     def span(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
-    def to_unit(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.lower) / self.span
-
     def from_unit(self, u) -> np.ndarray:
         return self.lower + np.asarray(u, dtype=float) * self.span
-
-    def contains(self, x, atol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol)
-        )
 
 
 def unit_box(dimension: int) -> BoxDomain:

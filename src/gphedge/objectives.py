@@ -389,36 +389,13 @@ def _simulate(params: RepellerParams, x: np.ndarray, starts: np.ndarray) -> np.n
     return totals
 
 
-def repeller_trajectory(
-    params: RepellerParams, x, rng: np.random.Generator
-) -> np.ndarray:
-    """Positions visited on one rollout, shape (horizon + 1, 2)."""
-    x = _check_box(x, params.domain(), "repellers")
-    pos = np.asarray(params.start_mean) + params.start_std * rng.standard_normal(2)
-    vel = np.asarray(params.start_velocity, dtype=float).copy()
-    path = np.empty((params.horizon + 1, 2))
-    path[0] = pos
-    gravity = np.asarray(params.gravity)
-    for n in range(params.horizon):
-        force = repeller_force(params, x, pos[None, :])[0] + gravity
-        force -= params.friction * vel
-        vel = vel + params.dt * force
-        pos = pos + params.dt * vel
-        path[n + 1] = pos
-    return path
-
-
-def repeller_rollout(params: RepellerParams, x, rng: np.random.Generator) -> float:
-    """One noisy trajectory: the start position is the only random input."""
-    x = _check_box(x, params.domain(), "repellers")
-    start = np.asarray(params.start_mean) + params.start_std * rng.standard_normal(2)
-    return float(_simulate(params, x, start[None, :])[0])
-
-
 def repeller_objective(
     params: RepellerParams, x, rng: np.random.Generator, rollouts: int = 1
 ) -> float:
-    """Mean accumulated reward over ``rollouts`` sampled trajectories."""
+    """Mean accumulated reward over ``rollouts`` sampled trajectories.
+
+    The start positions are the only random input.
+    """
     x = _check_box(x, params.domain(), "repellers")
     starts = np.asarray(params.start_mean) + params.start_std * rng.standard_normal(
         (rollouts, 2)
@@ -450,7 +427,7 @@ def repellers(
         return repeller_objective(params, x, rng, rollouts=eval_rollouts)
 
     def draw(x, rng):
-        return repeller_rollout(params, x, rng)
+        return repeller_objective(params, x, rng)
 
     return ObjectiveSpec(
         name="repellers",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gp import GpState, NumericsError, posterior_predict
+from .gp import NumericsError
 
 STRATEGIES = ("hedge", "exp3", "normalhedge", "uniform")
 
@@ -204,8 +204,3 @@ def observe(state: PortfolioState, rewards, chosen: int) -> PortfolioState:
     if state.strategy == "normalhedge":
         return update_normalhedge(state, rewards, chosen)
     return update_hedge(state, rewards)
-
-
-def reward_from_gp(gp_after_update: GpState, nominee) -> float:
-    """Posterior mean at a nominated point, the per-arm reward signal."""
-    return posterior_predict(gp_after_update, nominee).mean

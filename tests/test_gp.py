@@ -12,11 +12,9 @@ from gphedge.gp import (
     KernelParams,
     fit,
     fit_hyperparameters,
-    kernel_eval,
     kernel_matrix,
     log_marginal_likelihood,
     posterior_mean,
-    posterior_predict,
     posterior_predict_batch,
     update,
 )
@@ -64,28 +62,42 @@ def random_dataset(seed, max_t=20, min_t=1, max_d=6):
     return inputs, outputs, kernel, noise
 
 
+def kernel_at(a, b, params):
+    """Covariance between two points, through the one-row kernel matrix."""
+    return kernel_matrix(np.asarray(a)[None, :], np.asarray(b)[None, :], params)[0, 0]
+
+
 def test_kernel_zero_distance_is_exactly_signal_variance():
+    # Exact only on these frozen points: the squared distance is formed as
+    # |a|^2 + |b|^2 - 2 a.b, which cancels inexactly on many others.
     params = KernelParams([0.7, 3.0, 0.01])
     x = np.array([1.0, -2.0, 0.5])
-    assert kernel_eval(x, x, params) == 1.0
+    assert kernel_at(x, x, params) == 1.0
     scaled = KernelParams([1.0], signal_variance=2.5)
-    assert kernel_eval([0.3], [0.3], scaled) == 2.5
+    assert kernel_at([0.3], [0.3], scaled) == 2.5
 
 
 def test_kernel_hand_computed_values():
-    assert kernel_eval([0.0], [1.0], KernelParams([1.0])) == approx(
+    assert kernel_at([0.0], [1.0], KernelParams([1.0])) == approx(
         math.exp(-0.5), abs=1e-12
     )
-    assert kernel_eval([0.0, 0.0], [2.0, 0.0], KernelParams([1.0, 1.0])) == approx(
+    assert kernel_at([0.0, 0.0], [2.0, 0.0], KernelParams([1.0, 1.0])) == approx(
         math.exp(-2.0), abs=1e-12
     )
 
 
 def test_kernel_dimension_mismatch():
+    # A point set of the wrong width is rejected, not reshaped into more
+    # points of the kernel's width.
     with pytest.raises(ValueError):
-        kernel_eval([0.0], [1.0, 2.0], KernelParams([1.0, 1.0]))
+        kernel_matrix([0.0], [1.0, 2.0], KernelParams([1.0, 1.0]))
     with pytest.raises(ValueError):
-        kernel_eval([0.0, 1.0], [1.0, 2.0], KernelParams([1.0]))
+        kernel_matrix([0.0, 1.0], [1.0, 2.0], KernelParams([1.0]))
+    state = fit([[0.2], [0.6]], [0.5, -0.5], KernelParams([1.0]), 0.0)
+    with pytest.raises(ValueError):
+        posterior_predict_batch(state, np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        posterior_mean(state, np.zeros((4, 2)))
 
 
 def test_kernel_params_validation():
@@ -104,23 +116,23 @@ def test_kernel_symmetric_and_bounded(seed):
     d = int(rng.integers(1, 7))
     params = KernelParams(rng.uniform(0.05, 5.0, size=d), rng.uniform(0.5, 3.0))
     a, b = rng.standard_normal((2, d))
-    kab = kernel_eval(a, b, params)
-    assert kab == kernel_eval(b, a, params)
+    kab = kernel_at(a, b, params)
+    assert kab == kernel_at(b, a, params)
     assert 0.0 <= kab <= params.signal_variance
 
 
 def test_empty_state_predicts_the_prior():
     state = fit(np.empty((0, 2)), [], KernelParams([1.0, 1.0]), 0.0)
-    pred = posterior_predict(state, [0.3, 0.7])
-    assert pred.mean == 0.0
-    assert pred.variance == 1.0
+    mean, variance = posterior_predict_batch(state, np.array([[0.3, 0.7]]))
+    assert mean[0] == 0.0
+    assert variance[0] == 1.0
 
 
 def test_noiseless_state_interpolates():
     state = fit([[0.25, 0.5]], [1.7], KernelParams([1.0, 1.0]), 0.0)
-    pred = posterior_predict(state, [0.25, 0.5])
-    assert pred.mean == approx(1.7, abs=1e-8)
-    assert pred.variance == approx(0.0, abs=1e-8)
+    mean, variance = posterior_predict_batch(state, np.array([[0.25, 0.5]]))
+    assert mean[0] == approx(1.7, abs=1e-8)
+    assert variance[0] == approx(0.0, abs=1e-8)
 
 
 def test_predict_matches_dense_oracle_frozen_case():
@@ -131,10 +143,10 @@ def test_predict_matches_dense_oracle_frozen_case():
     state = fit(inputs, outputs, kernel, 0.01)
     for query in rng.uniform(0.0, 1.0, size=(6, 2)):
         mean, variance, _ = dense_oracle(inputs, outputs, kernel, 0.01, query)
-        pred = posterior_predict(state, query)
-        assert pred.mean == approx(mean, abs=1e-8)
-        assert pred.variance == approx(variance, abs=1e-8)
-        assert pred.noisy_variance == approx(variance + 0.01, abs=1e-8)
+        pred_mean, pred_variance = posterior_predict_batch(state, query[None, :])
+        assert pred_mean[0] == approx(mean, abs=1e-8)
+        assert pred_variance[0] == approx(variance, abs=1e-8)
+        assert pred_variance[0] + state.noise_variance == approx(variance + 0.01, abs=1e-8)
 
 
 @given(st.integers(0, 10**6))
@@ -144,9 +156,9 @@ def test_predict_and_lml_match_dense_oracle(seed):
     state = fit(inputs, outputs, kernel, noise)
     query = np.random.default_rng(seed + 1).uniform(-1.0, 2.0, size=inputs.shape[1])
     mean, variance, lml = dense_oracle(inputs, outputs, kernel, noise, query)
-    pred = posterior_predict(state, query)
-    assert pred.mean == approx(mean, abs=1e-8 * (1 + abs(mean)))
-    assert pred.variance == approx(variance, abs=1e-8)
+    pred_mean, pred_variance = posterior_predict_batch(state, query[None, :])
+    assert pred_mean[0] == approx(mean, abs=1e-8 * (1 + abs(mean)))
+    assert pred_variance[0] == approx(variance, abs=1e-8)
     assert log_marginal_likelihood(state) == approx(lml, abs=1e-8 * (1 + abs(lml)))
 
 

@@ -55,7 +55,8 @@ def test_default_portfolios_match_the_design():
 
 
 def test_parse_strategy_names():
-    assert parse_strategy("pi").kind == "single"
+    assert parse_strategy("pi").kind == "hedge"
+    assert len(parse_strategy("pi").acquisitions) == 1
     assert parse_strategy("ucb").acquisitions[0].nu == 0.2
     assert parse_strategy("gp-hedge-9").kind == "hedge"
     assert len(parse_strategy("gp-hedge-9").acquisitions) == 9

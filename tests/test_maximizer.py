@@ -50,7 +50,8 @@ def test_box_validation():
         BoxDomain([0.0], [np.inf])
     box = BoxDomain([-1.0, 2.0], [1.0, 4.0])
     assert box.dimension == 2
-    assert np.allclose(box.from_unit(box.to_unit([0.5, 3.0])), [0.5, 3.0])
+    unit = (np.array([0.5, 3.0]) - box.lower) / box.span
+    assert np.allclose(box.from_unit(unit), [0.5, 3.0])
 
 
 def test_config_validation():
@@ -77,7 +78,7 @@ def test_constant_function_returns_a_domain_point():
         lambda x: np.full(len(x), 4.25), box, MaximizerConfig(direct_budget=50)
     )
     assert value == 4.25
-    assert box.contains(point)
+    assert np.all((point >= box.lower - 1e-9) & (point <= box.upper + 1e-9))
 
 
 def test_negated_branin_matches_random_search_oracle():
@@ -97,7 +98,7 @@ def test_never_leaves_the_box():
         return np.sum(x, axis=1)
 
     point, _ = maximize(toward_corner, box, MaximizerConfig(direct_budget=200))
-    assert box.contains(point)
+    assert np.all((point >= box.lower - 1e-9) & (point <= box.upper + 1e-9))
     assert np.allclose(point, box.upper, atol=1e-2)
 
 
@@ -192,7 +193,7 @@ def test_value_beats_direct_samples_and_scipy_local_refinement():
     point, value = maximize(f, spec.domain, config)
     # Local refinement from the returned point cannot find much more.
     refined = scipy_minimize(
-        lambda z: -float(spec.evaluate(spec.domain.clip(z))),
+        lambda z: -float(spec.evaluate(np.clip(z, spec.domain.lower, spec.domain.upper))),
         point,
         method="Nelder-Mead",
     )

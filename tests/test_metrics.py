@@ -33,7 +33,7 @@ def make_record(f_true_init, f_true, var_prev=None, var_prev_ucb=None, ucb_arm=-
     n_arms = 1
     return TrialRecord(
         objective_name="fake",
-        strategy="single",
+        strategy="hedge",
         arm_labels=("ei(xi=0.01)",),
         ucb_arm=ucb_arm,
         seed=0,

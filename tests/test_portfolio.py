@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from gphedge.gp import KernelParams, NumericsError, fit, posterior_predict
+from gphedge.gp import KernelParams, NumericsError, fit, posterior_mean, posterior_predict_batch
 from gphedge.portfolio import (
     PortfolioState,
     new_portfolio,
     observe,
     probabilities,
-    reward_from_gp,
     select_arm,
     update_exp3,
     update_hedge,
@@ -251,19 +250,20 @@ def test_rigged_rewards_raise_the_dominant_arm_probability():
     assert probabilities(state)[1] > 1.0 / 3.0
 
 
-def test_reward_from_gp_matches_posterior_mean():
+def test_reward_signal_is_the_posterior_mean_at_the_nominee():
+    # Each arm's reward is posterior_mean of the updated GP at its nominee.
     rng = np.random.default_rng(6)
     inputs = rng.uniform(0.0, 1.0, size=(6, 2))
     outputs = rng.standard_normal(6)
     state = fit(inputs, outputs, KernelParams([0.5, 0.5]), 0.0)
-    nominee = np.array([0.3, 0.6])
-    assert reward_from_gp(state, nominee) == approx(
-        posterior_predict(state, nominee).mean, abs=1e-12
+    nominee = np.array([[0.3, 0.6]])
+    assert posterior_mean(state, nominee)[0] == approx(
+        posterior_predict_batch(state, nominee)[0][0], abs=1e-12
     )
     # Noiseless GP interpolates: reward at a sampled point is its observation.
-    assert reward_from_gp(state, inputs[2]) == approx(outputs[2], abs=1e-6)
+    assert posterior_mean(state, inputs[2:3])[0] == approx(outputs[2], abs=1e-6)
     # Far from all data every kernel value vanishes and the prior takes over.
-    assert reward_from_gp(state, np.array([80.0, -40.0])) == approx(0.0, abs=1e-12)
+    assert posterior_mean(state, np.array([[80.0, -40.0]]))[0] == approx(0.0, abs=1e-12)
 
 
 def test_state_validation():
