@@ -145,7 +145,7 @@ def _chol_with_jitter(gram: np.ndarray, signal_variance: float):
 
 def fit(inputs, outputs, kernel: KernelParams, noise_variance: float) -> GpState:
     """Build a GP state from scratch, caching the Cholesky factor and alpha."""
-    x = np.asarray(inputs, dtype=float).reshape(-1, kernel.dimension)
+    x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(outputs, dtype=float).reshape(-1)
     if x.shape[0] != y.size:
         raise ValueError(f"{x.shape[0]} inputs but {y.size} outputs")

@@ -138,9 +138,8 @@ def test_criterion_1_gp_matches_dense_inverse_oracle():
         mean, variance, lml = dense_oracle(
             inputs, outputs, kernel, noise, query, jitter=state.jitter
         )
-        pred_mean, pred_variance = (
-            float(v[0]) for v in posterior_predict_batch(state, query[None, :])
-        )
+        means, variances = posterior_predict_batch(state, query[None, :])
+        pred_mean, pred_variance = float(means[0]), float(variances[0])
         ok = (
             rel_close(pred_mean, mean)
             and rel_close(pred_variance, variance)

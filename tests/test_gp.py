@@ -93,6 +93,8 @@ def test_kernel_dimension_mismatch():
         kernel_matrix([0.0], [1.0, 2.0], KernelParams([1.0, 1.0]))
     with pytest.raises(ValueError):
         kernel_matrix([0.0, 1.0], [1.0, 2.0], KernelParams([1.0]))
+    with pytest.raises(ValueError):
+        fit(np.zeros((4, 2)), np.zeros(4), KernelParams([1.0]), 0.0)
     state = fit([[0.2], [0.6]], [0.5, -0.5], KernelParams([1.0]), 0.0)
     with pytest.raises(ValueError):
         posterior_predict_batch(state, np.zeros((4, 2)))
