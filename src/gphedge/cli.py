@@ -42,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _execute(config, objective_source, jobs: int) -> int:
-    table = run_experiment(config, objective_source=objective_source, jobs=jobs)
+def _execute(config, objective, jobs: int) -> int:
+    table = run_experiment(config, objective, jobs=jobs)
     paths = emit(table)
     for label, path in sorted(paths.items()):
         print(f"{label}: {path}")
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         seed=args.seed if args.seed is not None else 0,
         output_dir=args.out if args.out is not None else "results",
     )
-    return _execute(config, ("file", str(path)), args.jobs)
+    return _execute(config, spec, args.jobs)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,11 @@ draws; this pairing is disclosed in the emitted metadata.  Kernel
 lengthscales and an output standardization are calibrated once per
 experiment from an offline sample of the objective, then held fixed for
 every trial.
+
+The objective is resolved once per experiment, from the registry or from a
+spec the caller passes, and every (strategy, trial) pair becomes one
+``RunConfig`` carrying that spec and the calibration.  With ``jobs > 1``
+each worker receives its ``RunConfig`` pickled, objective included.
 """
 
 from __future__ import annotations
@@ -92,8 +97,8 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        if self.trials < 1 or self.iterations < 1:
-            raise ValueError("trials and iterations must be positive")
+        if self.trials < 1 or self.iterations < 1 or self.init_samples < 1:
+            raise ValueError("trials, iterations and init_samples must be positive")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
         for s in self.strategies:
@@ -134,15 +139,6 @@ class Calibration:
     output_scale: float
     noise_variance: float
     gp_noise_variance: float
-
-
-def _load_objective(source: tuple) -> ObjectiveSpec:
-    kind = source[0]
-    if kind == "registry":
-        return objectives.resolve(source[1], **source[2])
-    if kind == "file":
-        return objectives.load_synthetic(source[1])
-    raise ValueError(f"unknown objective source {kind!r}")
 
 
 def calibrate(spec: ObjectiveSpec, config: ExperimentConfig) -> Calibration:
@@ -192,40 +188,29 @@ def calibrate(spec: ObjectiveSpec, config: ExperimentConfig) -> Calibration:
     )
 
 
-@dataclass(frozen=True)
-class TrialTask:
-    """Picklable unit of work: strategy x trial, plus shared settings."""
-
-    objective_source: tuple
-    strategy: str
-    trial: int
-    seed: int
-    pair_seed: int
-    iterations: int
-    init_samples: int
-    maximizer: MaximizerConfig
-    calibration: Calibration
-
-
-def _run_trial(task: TrialTask):
-    spec = _load_objective(task.objective_source)
-    strategy = parse_strategy(task.strategy)
-    config = RunConfig(
+def _trial_config(
+    spec: ObjectiveSpec,
+    config: ExperimentConfig,
+    calibration: Calibration,
+    strategy: str,
+    trial: int,
+) -> RunConfig:
+    arms = parse_strategy(strategy)
+    return RunConfig(
         objective=spec,
-        iterations=task.iterations,
-        acquisitions=strategy.acquisitions,
-        strategy=strategy.kind,
-        kernel=task.calibration.kernel,
-        noise_variance=task.calibration.noise_variance,
-        init_samples=task.init_samples,
-        maximizer=task.maximizer,
-        seed=task.seed,
-        pair_seed=task.pair_seed,
-        output_mean=task.calibration.output_mean,
-        output_scale=task.calibration.output_scale,
-        gp_noise_variance=task.calibration.gp_noise_variance,
+        iterations=config.iterations,
+        acquisitions=arms.acquisitions,
+        strategy=arms.kind,
+        kernel=calibration.kernel,
+        noise_variance=calibration.noise_variance,
+        init_samples=config.init_samples,
+        maximizer=config.maximizer,
+        seed=_stable_seed(config.seed, strategy, trial),
+        pair_seed=_stable_seed(config.seed, trial),
+        output_mean=calibration.output_mean,
+        output_scale=calibration.output_scale,
+        gp_noise_variance=calibration.gp_noise_variance,
     )
-    return run(config)
 
 
 @dataclass
@@ -234,7 +219,6 @@ class ResultTable:
 
     config: ExperimentConfig
     objective: ObjectiveSpec
-    objective_source: tuple
     calibration: Calibration
     records: dict
     failures: dict
@@ -263,58 +247,42 @@ class ResultTable:
 
 def run_experiment(
     config: ExperimentConfig,
-    objective_source: tuple | None = None,
+    objective: ObjectiveSpec | None = None,
     jobs: int = 1,
 ) -> ResultTable:
-    """Run every (strategy, trial) pair; failures are recorded, not fatal."""
-    source = objective_source or (
-        "registry",
-        config.objective,
-        dict(config.objective_params),
-    )
-    spec = _load_objective(source)
-    calibration = calibrate(spec, config)
-    tasks = [
-        TrialTask(
-            objective_source=source,
-            strategy=strategy,
-            trial=trial,
-            seed=_stable_seed(config.seed, strategy, trial),
-            pair_seed=_stable_seed(config.seed, trial),
-            iterations=config.iterations,
-            init_samples=config.init_samples,
-            maximizer=config.maximizer,
-            calibration=calibration,
-        )
-        for strategy in config.strategies
-        for trial in range(config.trials)
-    ]
+    """Run every (strategy, trial) pair; failures are recorded, not fatal.
+
+    ``objective`` defaults to the registered objective the config names.
+    """
+    if objective is None:
+        objective = objectives.resolve(config.objective, **config.objective_params)
+    calibration = calibrate(objective, config)
+    keys = [(s, k) for s in config.strategies for k in range(config.trials)]
+    runs = [_trial_config(objective, config, calibration, *key) for key in keys]
     records: dict = {}
     failures: dict = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = pool.map(_run_trial_safe, tasks)
+            outcomes = pool.map(_run_trial_safe, runs)
     else:
-        outcomes = map(_run_trial_safe, tasks)
-    for task, (record, error) in zip(tasks, outcomes):
-        key = (task.strategy, task.trial)
+        outcomes = map(_run_trial_safe, runs)
+    for key, (record, error) in zip(keys, outcomes):
         if error is not None:
             failures[key] = error
         else:
             records[key] = record
     return ResultTable(
         config=config,
-        objective=spec,
-        objective_source=source,
+        objective=objective,
         calibration=calibration,
         records=records,
         failures=failures,
     )
 
 
-def _run_trial_safe(task: TrialTask):
+def _run_trial_safe(config: RunConfig):
     try:
-        return _run_trial(task), None
+        return run(config), None
     except Exception as err:  # noqa: BLE001 - isolate trial failures
         return None, _failure_message(err)
 

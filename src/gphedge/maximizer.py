@@ -48,6 +48,10 @@ class BoxDomain:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    def __reduce__(self):
+        # Unpickle through __post_init__, so the copy's bounds are read-only too.
+        return BoxDomain, (self.lower, self.upper)
+
     @property
     def dimension(self) -> int:
         return self.lower.size
@@ -357,9 +361,10 @@ def maximize(
         return points[0], float(values[0])
     configs = tuple(config)
     dimension = domain.dimension
+    lower, span = domain.lower, domain.span
 
     def g(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        x = domain.from_unit(u)
+        x = lower + u * span
         vals = np.asarray(f(x, counts), dtype=float).reshape(u.shape[0])
         finite = np.isfinite(vals)
         if not finite.all():
@@ -391,6 +396,6 @@ def maximize(
         all_points = np.vstack([centers, refined[mine]])
         all_values = np.concatenate([values, refined_vals[mine]])
         pick = _lexicographic_best(all_points, all_values)
-        points[arm] = domain.from_unit(np.clip(all_points[pick], 0.0, 1.0))
+        points[arm] = lower + np.clip(all_points[pick], 0.0, 1.0) * span
         best[arm] = -all_values[pick]
     return points, best

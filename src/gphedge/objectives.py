@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .gp import KernelParams, NumericsError, _chol_with_jitter, kernel_matrix
-from .maximizer import BoxDomain, MaximizerConfig, maximize
+from .maximizer import BoxDomain, MaximizerConfig, maximize, unit_box
 
 SYNTHETIC_FORMAT_VERSION = 1
 
@@ -32,16 +33,24 @@ class ObjectiveSpec:
     value used by the metric layer; optimizers only ever see noisy samples.
     ``draw(x, rng)`` produces one noisy realization for objectives with
     intrinsic noise; deterministic objectives leave it unset and the
-    optimization loop adds configured Gaussian noise itself.
+    optimization loop adds configured Gaussian noise itself.  Every
+    registered objective's callables are module-level functions or
+    ``functools.partial`` bindings of them, so a spec pickles.
     """
 
     name: str
-    dimension: int
     domain: BoxDomain
     evaluate: Callable
     known_optimum: float | None = None
-    intrinsic_noise: bool = False
     draw: Callable | None = None
+
+    @property
+    def dimension(self) -> int:
+        return self.domain.dimension
+
+    @property
+    def intrinsic_noise(self) -> bool:
+        return self.draw is not None
 
 
 def _check_box(x, domain: BoxDomain, name: str) -> np.ndarray:
@@ -75,19 +84,18 @@ BRANIN_ARGMIN = (
 )
 
 
+def _branin(domain: BoxDomain, x):
+    x = _check_box(x, domain, "branin")
+    return -_branin_values(x[..., 0], x[..., 1])
+
+
 def branin() -> ObjectiveSpec:
     """Negated Branin on [-5, 10] x [0, 15]; maximum 5/(4 pi) below zero."""
     domain = BoxDomain([-5.0, 0.0], [10.0, 15.0])
-
-    def evaluate(x):
-        x = _check_box(x, domain, "branin")
-        return -_branin_values(x[..., 0], x[..., 1])
-
     return ObjectiveSpec(
         name="branin",
-        dimension=2,
         domain=domain,
-        evaluate=evaluate,
+        evaluate=partial(_branin, domain),
         known_optimum=BRANIN_OPTIMUM,
     )
 
@@ -127,24 +135,18 @@ HARTMAN3_OPTIMUM = 3.8627797873326624
 HARTMAN6_OPTIMUM = 3.322368011415514
 
 
-def _hartman_values(x, a, p):
+def _hartman_values(name: str, domain: BoxDomain, a, p, x):
+    x = _check_box(x, domain, name)
     inner = np.einsum("kj,...kj->...k", a, (x[..., None, :] - p) ** 2)
     return np.einsum("k,...k->...", _HARTMAN_ALPHA, np.exp(-inner))
 
 
 def _hartman(name, a, p, optimum) -> ObjectiveSpec:
-    d = a.shape[1]
-    domain = BoxDomain(np.zeros(d), np.ones(d))
-
-    def evaluate(x):
-        x = _check_box(x, domain, name)
-        return _hartman_values(x, a, p)
-
+    domain = unit_box(a.shape[1])
     return ObjectiveSpec(
         name=name,
-        dimension=d,
         domain=domain,
-        evaluate=evaluate,
+        evaluate=partial(_hartman_values, name, domain, a, p),
         known_optimum=optimum,
     )
 
@@ -186,11 +188,15 @@ class SyntheticFunction:
         return values.reshape(x.shape[:-1]) if x.ndim > 1 else float(values[0])
 
 
-def _interpolant(theta, points, targets) -> SyntheticFunction:
+def _gram_factor(theta, points) -> tuple[np.ndarray, float]:
+    """Jittered Cholesky factor of the anchors' Gram matrix, and its jitter."""
     params = KernelParams(theta)
     gram = kernel_matrix(points, points, params)
     np.fill_diagonal(gram, params.signal_variance)
-    chol, jitter = _chol_with_jitter(gram, params.signal_variance)
+    return _chol_with_jitter(gram, params.signal_variance)
+
+
+def _interpolant(theta, points, targets, chol, jitter) -> SyntheticFunction:
     alpha = solve_triangular(
         chol.T, solve_triangular(chol, targets, lower=True), lower=False
     )
@@ -230,17 +236,14 @@ def sample_synthetic_objective(
         raise ValueError("dimension must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([dimension, seed]))
     theta = np.maximum(rng.uniform(0.0, 2.0, size=dimension), 1e-6)
-    domain = BoxDomain(np.zeros(dimension), np.ones(dimension))
+    domain = unit_box(dimension)
     count = 100 * dimension
     surface = None
     for _ in range(max_rounds):
         points = rng.uniform(0.0, 1.0, size=(count, dimension))
-        params = KernelParams(theta)
-        gram = kernel_matrix(points, points, params)
-        np.fill_diagonal(gram, params.signal_variance)
-        chol, _ = _chol_with_jitter(gram, params.signal_variance)
+        chol, jitter = _gram_factor(theta, points)
         targets = chol @ rng.standard_normal(count)
-        surface = _interpolant(theta, points, targets)
+        surface = _interpolant(theta, points, targets, chol, jitter)
         probes = rng.uniform(0.0, 1.0, size=(plateau_probes, dimension))
         if _plateau_fraction(surface, probes) * plateau_probes <= plateau_limit:
             break
@@ -255,7 +258,6 @@ def sample_synthetic_objective(
         optimum = _locate_optimum(surface, domain, rng)
     return ObjectiveSpec(
         name=f"synthetic{dimension}d-{seed}",
-        dimension=dimension,
         domain=domain,
         evaluate=surface,
         known_optimum=optimum,
@@ -303,17 +305,14 @@ def load_synthetic(path) -> ObjectiveSpec:
         if version != SYNTHETIC_FORMAT_VERSION:
             raise ValueError(f"unsupported synthetic-objective format {version}")
         name = bytes(data["name"]).decode()
-        surface = _interpolant(
-            data["theta"].astype(float),
-            data["points"].astype(float),
-            data["targets"].astype(float),
-        )
+        theta = data["theta"].astype(float)
+        points = data["points"].astype(float)
+        targets = data["targets"].astype(float)
         optimum = float(data["known_optimum"])
-    dimension = surface.dimension
+    surface = _interpolant(theta, points, targets, *_gram_factor(theta, points))
     return ObjectiveSpec(
         name=name,
-        dimension=dimension,
-        domain=BoxDomain(np.zeros(dimension), np.ones(dimension)),
+        domain=unit_box(surface.dimension),
         evaluate=surface,
         known_optimum=None if math.isnan(optimum) else optimum,
     )
@@ -407,6 +406,14 @@ def _point_seed(x: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(x, dtype="<f8").tobytes())
 
 
+def _repeller_expectation(params: RepellerParams, rollouts: int, x):
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        return np.array([_repeller_expectation(params, rollouts, row) for row in x])
+    rng = np.random.default_rng(_point_seed(x))
+    return repeller_objective(params, x, rng, rollouts=rollouts)
+
+
 def repellers(
     params: RepellerParams | None = None, eval_rollouts: int = 256
 ) -> ObjectiveSpec:
@@ -417,26 +424,12 @@ def repellers(
     a deterministic surface; ``draw`` samples a single trajectory.
     """
     params = params or RepellerParams()
-    domain = params.domain()
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return np.array([evaluate(row) for row in x])
-        rng = np.random.default_rng(_point_seed(x))
-        return repeller_objective(params, x, rng, rollouts=eval_rollouts)
-
-    def draw(x, rng):
-        return repeller_objective(params, x, rng)
-
     return ObjectiveSpec(
         name="repellers",
-        dimension=params.dimension,
-        domain=domain,
-        evaluate=evaluate,
+        domain=params.domain(),
+        evaluate=partial(_repeller_expectation, params, eval_rollouts),
         known_optimum=None,
-        intrinsic_noise=True,
-        draw=draw,
+        draw=partial(repeller_objective, params),
     )
 
 

@@ -156,7 +156,6 @@ def test_hedge_shifts_probability_toward_the_dominant_arm():
 
     spec = ObjectiveSpec(
         name="bowl",
-        dimension=2,
         domain=BoxDomain([0.0, 0.0], [1.0, 1.0]),
         evaluate=bowl,
         known_optimum=2.0,
@@ -199,7 +198,6 @@ def test_numeric_failures_name_the_iteration():
 
     spec = ObjectiveSpec(
         name="flaky",
-        dimension=2,
         domain=base.domain,
         evaluate=flaky,
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -83,6 +85,8 @@ def test_config_loading_and_overrides(tmp_path):
     assert config_hash(config) != config_hash(overridden)
     with pytest.raises(ValueError):
         load_config(path, trials=0)
+    with pytest.raises(ValueError):
+        load_config(path, init_samples=0)
 
 
 def test_calibration_standardizes_outputs():
@@ -145,7 +149,7 @@ def test_emit_includes_summary_series(tmp_path):
     assert summary["known_optimum"] == approx(-5 / (4 * np.pi))
 
 
-def test_synthetic_experiment_saves_replayable_objective(tmp_path):
+def test_synthetic_experiment_saves_replayable_objective(tmp_path, monkeypatch):
     config = tiny_config(
         objective="synthetic",
         objective_params={"dimension": 2, "seed": 3},
@@ -156,6 +160,16 @@ def test_synthetic_experiment_saves_replayable_objective(tmp_path):
     table = run_experiment(config)
     paths = emit(table, tmp_path)
     assert "objective" in paths
+    import gphedge.objectives as objectives_module
+
+    loads = []
+    original = objectives_module.load_synthetic
+
+    def counted(path):
+        loads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(objectives_module, "load_synthetic", counted)
     code = main(
         [
             "replay",
@@ -172,19 +186,22 @@ def test_synthetic_experiment_saves_replayable_objective(tmp_path):
     )
     assert code == 0
     assert any((tmp_path / "replayed").glob("*.csv"))
+    assert len(loads) == 1
 
 
 def test_failures_are_recorded_not_fatal(monkeypatch):
     import gphedge.harness as harness_module
 
-    original = harness_module._run_trial
+    original = harness_module.run
+    trial_1 = harness_module._stable_seed(tiny_config().seed, 1)
 
-    def sabotaged(task):
-        if task.strategy == "ei" and task.trial == 1:
+    def sabotaged(config):
+        # "ei" is the one-arm strategy of tiny_config.
+        if len(config.acquisitions) == 1 and config.pair_seed == trial_1:
             raise RuntimeError("rigged failure")
-        return original(task)
+        return original(config)
 
-    monkeypatch.setattr(harness_module, "_run_trial", sabotaged)
+    monkeypatch.setattr(harness_module, "run", sabotaged)
     table = run_experiment(tiny_config())
     assert ("ei", 1) in table.failures
     message = table.failures[("ei", 1)]
@@ -214,12 +231,42 @@ def test_one_of_nine_arms_returning_nan_names_the_arm(monkeypatch):
     assert not table.records
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    config = tiny_config(strategies=("ei",), trials=2, iterations=3)
-    serial = run_experiment(config, jobs=1)
-    parallel = run_experiment(config, jobs=2)
-    for key, record in serial.records.items():
-        assert np.array_equal(record.x, parallel.records[key].x)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_objective_is_resolved_once_per_experiment(tmp_path, monkeypatch, jobs):
+    import gphedge.objectives as objectives_module
+
+    log = tmp_path / "resolve_calls"
+    original = objectives_module.resolve
+
+    def counted(*args, **kwargs):
+        # Appends to a file, so that calls in worker processes count too.
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("resolve\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(objectives_module, "resolve", counted)
+    table = run_experiment(tiny_config(), jobs=jobs)
+    assert not table.failures
+    assert len(table.records) == 2 * 2
+    assert log.read_text(encoding="utf-8").splitlines() == ["resolve"]
+
+
+def test_parallel_jobs_match_serial():
+    for objective, params in (("branin", {}), ("synthetic", {"dimension": 2, "seed": 3})):
+        config = tiny_config(
+            objective=objective, objective_params=params, trials=2, iterations=3
+        )
+        serial = run_experiment(config, jobs=1)
+        parallel = run_experiment(config, jobs=2)
+        assert not serial.failures and not parallel.failures
+        assert serial.records.keys() == parallel.records.keys()
+        for key, record in serial.records.items():
+            other = parallel.records[key]
+            for field in dataclasses.fields(record):
+                a, b = getattr(record, field.name), getattr(other, field.name)
+                if isinstance(a, np.ndarray):
+                    a, b = ((v.dtype, v.shape, v.tobytes()) for v in (a, b))
+                assert a == b, (objective, key, field.name)
 
 
 def test_cli_run_and_list(tmp_path, capsys):
@@ -241,10 +288,10 @@ def test_cli_run_and_list(tmp_path, capsys):
 def test_cli_reports_failures_with_nonzero_exit(tmp_path, monkeypatch, capsys):
     import gphedge.harness as harness_module
 
-    def always_fail(task):
+    def always_fail(config):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(harness_module, "_run_trial", always_fail)
+    monkeypatch.setattr(harness_module, "run", always_fail)
     config_path = tmp_path / "exp.yaml"
     config_path.write_text(
         "objective: branin\nstrategies: [ei]\ntrials: 1\niterations: 2\n"

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -269,3 +270,30 @@ def test_registry_resolves_every_listed_objective():
     assert resolve("repellers", horizon=10).dimension == 9
     with pytest.raises(KeyError):
         resolve("rosenbrock")
+
+
+def test_every_registered_objective_pickles():
+    params = {
+        "synthetic": {"dimension": 2, "seed": 3},
+        "repellers": {"horizon": 10, "eval_rollouts": 8},
+    }
+    for name in available():
+        spec = resolve(name, **params.get(name, {}))
+        copy = pickle.loads(pickle.dumps(spec))
+        assert (copy.name, copy.dimension, copy.known_optimum) == (
+            spec.name,
+            spec.dimension,
+            spec.known_optimum,
+        )
+        probes = spec.domain.from_unit(
+            np.random.default_rng(0).random((5, spec.dimension))
+        )
+        assert copy.evaluate(probes).tobytes() == spec.evaluate(probes).tobytes()
+        assert copy.intrinsic_noise == spec.intrinsic_noise == (name == "repellers")
+        assert not copy.domain.lower.flags.writeable
+        assert np.array_equal(copy.domain.upper, spec.domain.upper)
+        if spec.draw is not None:
+            draws = [
+                f.draw(probes[0], np.random.default_rng(4)) for f in (spec, copy)
+            ]
+            assert draws[0] == draws[1]
