@@ -92,6 +92,19 @@ CONFIGS = (
             maximizer=dict(direct_budget=90, multistart_count=3, local_steps=8),
         ),
     ),
+    (
+        # A GP large enough (t = 256-259) for the carried posterior variance
+        # of ``gphedge.gp`` to serve the maximizer's repeated probes.
+        "branin-warm",
+        dict(
+            objective="branin",
+            strategies=("ei",),
+            iterations=4,
+            init_samples=256,
+            seed=19,
+            noise_variance=1e-4,
+        ),
+    ),
 )
 
 
