@@ -32,6 +32,21 @@ section records cores, NumPy and SciPy versions, the OpenBLAS core and the
 git sha of the checkout, and per case and arm count the fastest and the
 median repeat, every repeat and the number of points evaluated, which must
 agree between checkouts whose maximizers pick the same points.
+
+Two more sections size the carried posterior variance of ``gphedge.gp``:
+
+- ``posterior``: the cost per probe of one posterior call of
+  ``CARRY_PROBES`` Branin-sized probes (d=2) on a GP of t observations, for
+  t in ``CARRY_OBSERVATIONS``: a fresh call, and, on a checkout with
+  ``gp.VarianceCarry``, a carried call whose probes all hit or all miss the
+  previous state's scores, and the once-per-state step the carry takes
+  when the GP grows by one row.  Timed like the maximizer cases, each
+  repeat ``POSTERIOR_CALLS`` calls long; the section gives times per call.
+- ``repeats``: the share of the maximizer's probes at iterations 2 and
+  later whose exact coordinates the maximizer probed in the iteration
+  before, the probes the carry can serve, on whole experiments: the two
+  ``hedgebench`` workloads and Hartman-6 ``ei`` and ``gp-hedge-9`` from 195
+  initial points.
 """
 
 from __future__ import annotations
@@ -55,6 +70,25 @@ from openblas_build import openblas_string  # noqa: E402
 DIMENSIONS = (2, 6, 10)
 OBSERVATIONS = (10, 100, 400)
 REPEATS = 7
+CARRY_OBSERVATIONS = (64, 128, 256, 512, 800)
+# Probes per maximizer posterior call on branin-ei-warm: a traced round
+# makes about 620 calls on about 26 700 points.
+CARRY_PROBES = 43
+# A timed posterior repeat makes this many calls back to back, so that the
+# caches the previous case's large arrays evicted cost one call in many.
+POSTERIOR_CALLS = 50
+# (name, base config, overrides, config seeds); the first two are the
+# hedgebench workloads.
+REPEAT_EXPERIMENTS = (
+    ("branin-hedge9", "branin",
+     {"strategies": ["gp-hedge-9"], "iterations": 5}, (11, 12, 13)),
+    ("branin-ei-warm", "branin",
+     {"strategies": ["ei"], "iterations": 10, "init_samples": 800}, (11, 12, 13)),
+    ("hartman6-ei-t200", "hartman6",
+     {"strategies": ["ei"], "iterations": 8, "init_samples": 195}, (11, 12)),
+    ("hartman6-hedge9-t200", "hartman6",
+     {"strategies": ["gp-hedge-9"], "iterations": 8, "init_samples": 195}, (11, 12)),
+)
 
 
 def _git(src: Path, *args: str) -> str:
@@ -151,6 +185,109 @@ def case_calls(d: int, t: int) -> dict:
     return {"one_arm": counted(one_arm), "nine_arm": counted(nine_arms)}
 
 
+def posterior_calls(t: int) -> dict:
+    """The posterior calls of case t, by name."""
+    import numpy as np
+    from gphedge import gp
+    from gphedge.maximizer import latin_hypercube
+
+    rng = np.random.default_rng(t)
+    inputs = latin_hypercube(t, 2, rng)
+    outputs = np.cos(3.0 * inputs).sum(axis=1)
+    kernel = gp.KernelParams(np.array([0.2, 0.3]))
+    previous = gp.fit(inputs[:-1], outputs[:-1], kernel, 1e-4)
+    state = gp.update(previous, inputs[-1], outputs[-1])
+    probes = rng.random((CARRY_PROBES, 2))
+    calls = {"fresh": lambda: gp.posterior_predict_batch(state, probes)}
+    if hasattr(gp, "VarianceCarry"):
+        hits = gp.VarianceCarry()
+        gp.posterior_predict_batch(previous, probes, carry=hits)
+        misses = gp.VarianceCarry()
+        gp.posterior_predict_batch(previous, rng.random((CARRY_PROBES, 2)), carry=misses)
+
+        def step():
+            carry = gp.VarianceCarry()
+            carry.state = previous
+            carry._advance(state)
+
+        calls["carried_hit"] = lambda: gp.posterior_predict_batch(state, probes, carry=hits)
+        calls["carried_miss"] = lambda: gp.posterior_predict_batch(state, probes, carry=misses)
+        calls["state_step"] = step
+
+    def back_to_back(call):
+        def run():
+            for _ in range(POSTERIOR_CALLS):
+                call()
+
+        return run
+
+    return {name: back_to_back(call) for name, call in calls.items()}
+
+
+def repeat_share(name: str, base: str, overrides: dict, seeds) -> dict:
+    """Share of the maximizer's probes repeated from the iteration before."""
+    import numpy as np
+    import yaml
+    from gphedge import bo, harness
+
+    probed: dict = {}  # state count -> set of probe bytes, for the running trial
+    repeated = total = 0
+    inside = []
+    originals = harness.run, bo.posterior_predict_batch, bo.maximize
+
+    def run(config):
+        probed.clear()
+        return originals[0](config)
+
+    def maximize(*args, **kwargs):
+        inside.append(True)
+        try:
+            return originals[2](*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def predict(state, x, **kwargs):
+        nonlocal repeated, total
+        if inside:
+            rows = np.ascontiguousarray(x, dtype=float)
+            keys = [row.tobytes() for row in rows]
+            before = probed.get(state.count - 1)
+            if before is not None:
+                repeated += sum(key in before for key in keys)
+                total += len(keys)
+            probed.setdefault(state.count, set()).update(keys)
+        return originals[1](state, x, **kwargs)
+
+    root = Path(__file__).resolve().parent.parent
+    raw = yaml.safe_load((root / "configs" / f"{base}.yaml").read_text())
+    raw.update(overrides, trials=1)
+    harness.run, bo.posterior_predict_batch, bo.maximize = run, predict, maximize
+    try:
+        for seed in seeds:
+            harness.run_experiment(harness.ExperimentConfig(**{**raw, "seed": seed}))
+    finally:
+        harness.run, bo.posterior_predict_batch, bo.maximize = originals
+    share = repeated / total if total else 0.0
+    print(f"{name}: {repeated}/{total} probes repeated ({share:.0%})", file=sys.stderr)
+    return {
+        "name": name, "base": base, "overrides": overrides, "seeds": list(seeds),
+        "repeated": repeated, "probes": total, "share": share,
+    }
+
+
+def fastest(calls: dict) -> tuple[dict, dict]:
+    """Every call's points and repeat times, warmed up once and then timed
+    round-robin ``REPEATS`` times."""
+    points = {key: call() for key, call in calls.items()}
+    seconds = {key: [] for key in calls}
+    for _ in range(REPEATS):
+        for key, call in calls.items():
+            start = time.perf_counter()
+            call()
+            seconds[key].append(time.perf_counter() - start)
+    return points, seconds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, required=True, help="src directory of a checkout")
@@ -168,13 +305,7 @@ def main(argv=None) -> int:
         for t in OBSERVATIONS
         for arm, call in case_calls(d, t).items()
     }
-    points = {key: call() for key, call in calls.items()}
-    seconds = {key: [] for key in calls}
-    for _ in range(REPEATS):
-        for key, call in calls.items():
-            start = time.perf_counter()
-            call()
-            seconds[key].append(time.perf_counter() - start)
+    points, seconds = fastest(calls)
 
     section = {"environment": environment(src), "cases": []}
     for d in DIMENSIONS:
@@ -192,6 +323,39 @@ def main(argv=None) -> int:
             print(f"d={d:2d} t={t:3d}: one arm {one:8.1f} ms, nine arms {nine:8.1f} ms",
                   file=sys.stderr)
             section["cases"].append(case)
+
+    from gphedge import gp
+
+    # The carried calls are timed at every t, below the carry's threshold too.
+    threshold = getattr(gp, "CARRY_MIN_COUNT", None)
+    gp.CARRY_MIN_COUNT = 0
+    try:
+        posterior = {
+            (t, name): call
+            for t in CARRY_OBSERVATIONS
+            for name, call in posterior_calls(t).items()
+        }
+        _, seconds = fastest(posterior)
+    finally:
+        gp.CARRY_MIN_COUNT = threshold
+    section["posterior"] = []
+    for t in CARRY_OBSERVATIONS:
+        case = {"d": 2, "t": t, "probes_per_call": CARRY_PROBES}
+        for (at, name), repeats in seconds.items():
+            if at == t:
+                repeats = [r / POSTERIOR_CALLS for r in repeats]
+                case[name] = {
+                    "min_s": min(repeats),
+                    "median_s": statistics.median(repeats),
+                    "repeats_s": repeats,
+                }
+                if name != "state_step":
+                    case[name]["min_us_per_probe"] = min(repeats) / CARRY_PROBES * 1e6
+        print(f"t={t:3d}: " + ", ".join(
+            f"{name} {case[name]['min_s'] * 1e6:7.1f} us" for name in case
+            if isinstance(case[name], dict)), file=sys.stderr)
+        section["posterior"].append(case)
+    section["repeats"] = [repeat_share(*experiment) for experiment in REPEAT_EXPERIMENTS]
 
     document = json.loads(args.out.read_text()) if args.out.exists() else {}
     document[args.label] = section

@@ -26,6 +26,7 @@ from .acquisitions import AcquisitionSpec, BetaSchedule, acquisition_values
 from .gp import (
     KernelParams,
     NumericsError,
+    VarianceCarry,
     fit,
     posterior_mean,
     posterior_predict_batch,
@@ -224,6 +225,10 @@ def run(config: RunConfig) -> TrialRecord:
     var_prev_ucb = np.full(T, np.nan)
     f_true = np.empty(T)
     best_seen = float(init_y.max())
+    # The maximizer's probe variances, carried from one iteration's state to
+    # the next.  The outer calls below stay on the fresh solve: the record
+    # holds their results.
+    carry = VarianceCarry()
 
     for t in range(1, T + 1):
         try:
@@ -232,7 +237,7 @@ def run(config: RunConfig) -> TrialRecord:
             # One posterior call and one acquisition pass answer the probes
             # of every arm still searching, stacked arm by arm.
             def utilities(points, counts):
-                mean, variance = posterior_predict_batch(gp, points)
+                mean, variance = posterior_predict_batch(gp, points, carry=carry)
                 return acquisition_values(
                     arms,
                     mean,

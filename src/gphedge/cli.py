@@ -74,27 +74,34 @@ def main(argv=None) -> int:
             print(f"{name}: {description}")
         return 0
 
-    if args.command == "run":
-        config = load_config(
-            args.config,
-            trials=args.trials,
-            iterations=args.iters,
-            seed=args.seed,
-            output_dir=args.out,
-        )
-        return _execute(config, None, args.jobs)
-
-    path = Path(args.objective_file)
-    spec = objectives.load_synthetic(path)
-    config = ExperimentConfig(
-        objective=spec.name,
-        strategies=tuple(args.strategies),
-        name=f"replay-{path.stem}",
-        trials=args.trials if args.trials is not None else 25,
-        iterations=args.iters if args.iters is not None else 100,
-        seed=args.seed if args.seed is not None else 0,
-        output_dir=args.out if args.out is not None else "results",
-    )
+    try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.command == "run":
+            spec = None
+            config = load_config(
+                args.config,
+                trials=args.trials,
+                iterations=args.iters,
+                seed=args.seed,
+                output_dir=args.out,
+            )
+        else:
+            path = Path(args.objective_file)
+            spec = objectives.load_synthetic(path)
+            config = ExperimentConfig(
+                objective=spec.name,
+                strategies=tuple(args.strategies),
+                name=f"replay-{path.stem}",
+                trials=args.trials if args.trials is not None else 25,
+                iterations=args.iters if args.iters is not None else 100,
+                seed=args.seed if args.seed is not None else 0,
+                output_dir=args.out if args.out is not None else "results",
+            )
+    except ValueError as err:
+        # Input the user can correct: one line and the usage exit status.
+        print(f"gphedge: error: {err}", file=sys.stderr)
+        return 2
     return _execute(config, spec, args.jobs)
 
 

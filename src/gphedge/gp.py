@@ -4,13 +4,27 @@ The posterior is kept behind a cached Cholesky factor of the noisy Gram
 matrix.  States are immutable; adding an observation returns a new state via
 a rank-1 extension of the factor, which is numerically equivalent to
 refitting from scratch.  The prior mean is the zero function throughout.
+
+A posterior variance is the prior minus q(x) = |L^-1 k(x)|^2, and
+:func:`posterior_predict_batch` finds q on one of two paths:
+
+- a triangular solve, O(t^2) per point at t observations.  Every call
+  without a :class:`VarianceCarry`, every call on a state of fewer than
+  ``CARRY_MIN_COUNT`` observations, and every point the carry misses takes
+  this path, bit for bit the same;
+- the carried step, O(t) per point.  When the state extends the carry's
+  previous one by exactly one row (ℓ, p) of the factor, a point scored at
+  that previous state has q(x) = q_prev(x) + e^2, where
+  e = (k(x_new, x) - w.k_{1:t}(x)) / p and w = L_t^-T ℓ is solved once per
+  state: the last step of the forward substitution a fresh solve would
+  take.  Its result agrees with the solve to round-off, not bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -20,6 +34,11 @@ from scipy.optimize import minimize
 JITTER_INITIAL = 1e-10
 JITTER_CEILING = 1e-4
 LOG_LENGTHSCALE_BOUNDS = (math.log(1e-3), math.log(1e3))
+# Smallest state the carried variance step serves.  In BENCH_10.json
+# (``posterior``, d=2, 43 probes per call, one BLAS thread) a carried call
+# at t=64 costs about what a solve does even when every probe hits; from
+# t=128 on a hit costs at most about half a solved probe.
+CARRY_MIN_COUNT = 128
 
 
 class NumericsError(RuntimeError):
@@ -106,6 +125,7 @@ class GpState:
     squared norms, the kernel's view of the inputs that every posterior call
     reuses; they are always computed from the whole input array, as
     :func:`fit` does, so a state grown by :func:`update` holds the same bits.
+    ``refits`` counts the updates that round-off forced back to :func:`fit`.
     """
 
     inputs: np.ndarray
@@ -117,6 +137,7 @@ class GpState:
     jitter: float
     scaled_inputs: np.ndarray
     scaled_norms: np.ndarray
+    refits: int = 0
 
     @property
     def count(self) -> int:
@@ -204,7 +225,8 @@ def update(state: GpState, x, y: float) -> GpState:
     pivot = diag - float(row @ row)
     if pivot <= 0.0:
         # Round-off has eaten the pivot; refit (possibly at larger jitter).
-        return fit(new_inputs, new_outputs, state.kernel, state.noise_variance)
+        refit = fit(new_inputs, new_outputs, state.kernel, state.noise_variance)
+        return replace(refit, refits=state.refits + 1)
     chol = np.zeros((t + 1, t + 1))
     chol[:t, :t] = state.chol
     chol[t, :t] = row
@@ -221,6 +243,7 @@ def update(state: GpState, x, y: float) -> GpState:
         jitter=state.jitter,
         scaled_inputs=_readonly(scaled),
         scaled_norms=_readonly(norms),
+        refits=state.refits,
     )
 
 
@@ -240,18 +263,99 @@ def posterior_mean(state: GpState, x) -> np.ndarray:
     return _cross_and_mean(state, x)[1]
 
 
-def posterior_predict_batch(state: GpState, x) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and (clamped, noise-free) variances at row-stacked points."""
-    cross, mean = _cross_and_mean(state, x)
-    prior = state.kernel.signal_variance
-    if state.count == 0:
-        return mean, np.full(mean.size, prior)
+def _solved_sq_norms(state: GpState, cross: np.ndarray) -> np.ndarray:
+    """|L^-1 k|^2 for each column k of ``cross`` by a triangular solve."""
     # The call scipy's solve_triangular makes for a C-ordered lower factor,
     # without its per-call argument handling.
     v, info = dtrtrs(state.chol.T, cross, lower=0, trans=1)
     if info != 0:
         raise NumericsError(f"triangular solve failed (LAPACK info {info})")
-    variance = prior - np.einsum("ij,ij->j", v, v)
+    return np.einsum("ij,ij->j", v, v)
+
+
+def _extends(state: GpState, previous: GpState) -> bool:
+    """Whether ``state`` is ``previous`` plus one row of the factor."""
+    t = previous.count
+    return (
+        state.count == t + 1
+        and state.refits == previous.refits
+        and state.kernel is previous.kernel
+        and np.array_equal(state.inputs[:t], previous.inputs)
+        and np.array_equal(state.chol[:t, :t], previous.chol)
+    )
+
+
+class VarianceCarry:
+    """The q(x) = |L^-1 k(x)|^2 of the points scored at the last two states
+    of one GP, keyed by their exact coordinates, so that a point probed
+    again after a one-row :func:`update` costs one substitution step.
+
+    Pass one carry to every :func:`posterior_predict_batch` call of a
+    sequence of states; it serves states of at least ``CARRY_MIN_COUNT``
+    observations and starts over whenever the state is not its previous
+    one extended by exactly one row, refits included.
+    """
+
+    def __init__(self):
+        self.state: GpState | None = None
+        self.scored: dict[bytes, float] = {}  # q at ``state``
+        self.previous: dict[bytes, float] = {}  # q at the state before it
+        self.step = np.empty(0)  # w = L_t^-T ℓ, from the previous state
+        self.pivot = 1.0  # p
+
+    def _advance(self, state: GpState) -> None:
+        previous = self.state
+        if previous is not None and _extends(state, previous):
+            t = previous.count
+            self.step = solve_triangular(
+                previous.chol, state.chol[t, :t], lower=True, trans="T", check_finite=False
+            )
+            self.pivot = float(state.chol[t, t])
+            self.previous = self.scored
+        else:
+            self.previous = {}
+        self.scored = {}
+        self.state = state
+
+    def sq_norms(self, state: GpState, x: np.ndarray, cross: np.ndarray) -> np.ndarray:
+        """q at the rows of ``x`` (whose kernel columns are ``cross``),
+        carried where the previous state scored the same coordinates."""
+        if state is not self.state:
+            self._advance(state)
+        rows = np.ascontiguousarray(x, dtype=float).reshape(-1, state.dimension)
+        keys = rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
+        q = np.array([self.previous.get(key, math.nan) for key in keys])
+        miss = np.isnan(q)
+        if miss.all():
+            q = _solved_sq_norms(state, cross)
+        else:
+            hit = ~miss
+            e = (cross[-1] - self.step @ cross[:-1])[hit] / self.pivot
+            q[hit] += e * e
+            if miss.any():
+                q[miss] = _solved_sq_norms(state, cross[:, miss])
+        self.scored.update(zip(keys, q.tolist()))
+        return q
+
+
+def posterior_predict_batch(
+    state: GpState, x, carry: VarianceCarry | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and (clamped, noise-free) variances at row-stacked points.
+
+    With a ``carry`` on a state of at least ``CARRY_MIN_COUNT``
+    observations, points the carry scored at the previous state take the
+    carried variance step; see the module docstring.
+    """
+    cross, mean = _cross_and_mean(state, x)
+    prior = state.kernel.signal_variance
+    if state.count == 0:
+        return mean, np.full(mean.size, prior)
+    if carry is None or state.count < CARRY_MIN_COUNT:
+        q = _solved_sq_norms(state, cross)
+    else:
+        q = carry.sq_norms(state, x, cross)
+    variance = prior - q
     np.maximum(variance, 0.0, out=variance)
     return mean, variance
 

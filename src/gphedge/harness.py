@@ -254,6 +254,8 @@ def run_experiment(
 
     ``objective`` defaults to the registered objective the config names.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if objective is None:
         objective = objectives.resolve(config.objective, **config.objective_params)
     calibration = calibrate(objective, config)

@@ -6,7 +6,7 @@ import pytest
 from gphedge.acquisitions import ei, pi, ucb
 import gphedge.bo as bo_module
 from gphedge.bo import RunConfig, initial_design, run
-from gphedge.gp import KernelParams, NumericsError, posterior_predict_batch
+from gphedge.gp import CARRY_MIN_COUNT, KernelParams, NumericsError, posterior_predict_batch
 from gphedge.harness import default_portfolio
 from gphedge.maximizer import BoxDomain, MaximizerConfig
 from gphedge.objectives import ObjectiveSpec, branin, sample_synthetic_objective
@@ -223,8 +223,8 @@ def test_shared_posterior_call_matches_per_arm_calls(monkeypatch):
     tolerance = 1e-12
     shared = []
 
-    def recording(state, points):
-        mean, variance = posterior_predict_batch(state, points)
+    def recording(state, points, carry=None):
+        mean, variance = posterior_predict_batch(state, points, carry=carry)
         shared.append((state, mean, variance))
         return mean, variance
 
@@ -265,3 +265,38 @@ def test_shared_posterior_call_matches_per_arm_calls(monkeypatch):
     for (mean, variance), (shared_mean, shared_variance) in slices:
         assert np.max(np.abs(mean - shared_mean)) <= tolerance
         assert np.max(np.abs(variance - shared_variance)) <= tolerance
+
+
+def test_maximizer_probes_carry_their_variances_on_a_large_gp(monkeypatch):
+    # From CARRY_MIN_COUNT observations on, the maximizer's posterior calls
+    # share one carry per trial: means keep their bits, variances agree
+    # with a fresh solve to t * eps * signal variance, and the outer calls
+    # whose results the record holds take no carry.
+    carried = []
+    outer = []
+
+    def recording(state, points, carry=None):
+        mean, variance = posterior_predict_batch(state, points, carry=carry)
+        fresh_mean, fresh_variance = posterior_predict_batch(state, points)
+        assert np.array_equal(mean, fresh_mean)
+        tolerance = state.count * np.finfo(float).eps * state.kernel.signal_variance
+        assert np.max(np.abs(variance - fresh_variance)) <= tolerance
+        (outer if carry is None else carried).append(carry)
+        return mean, variance
+
+    monkeypatch.setattr(bo_module, "posterior_predict_batch", recording)
+    record = run(
+        config(
+            objective=branin(),
+            acqs=(ucb(),),
+            iterations=3,
+            init_samples=CARRY_MIN_COUNT,
+            kernel=KernelParams([0.2, 0.3]),
+            noise_variance=1e-4,
+            output_mean=-50.0,
+            output_scale=50.0,
+        )
+    )
+    assert len({id(c) for c in carried}) == 1
+    assert len(outer) == 2 * record.iterations  # var_prev and var_prev_ucb
+    assert carried[0].previous  # probes of the first iteration were carried

@@ -9,7 +9,9 @@ from pytest import approx
 
 import gphedge.gp as gp_module
 from gphedge.gp import (
+    CARRY_MIN_COUNT,
     KernelParams,
+    VarianceCarry,
     fit,
     fit_hyperparameters,
     kernel_matrix,
@@ -260,8 +262,95 @@ def test_cached_scaled_inputs_match_a_fresh_fit(monkeypatch):
         fresh = fit(inputs[:i], outputs[:i], kernel, noise)
         assert np.array_equal(state.scaled_inputs, fresh.scaled_inputs)
         assert np.array_equal(state.scaled_norms, fresh.scaled_norms)
+        assert state.refits == (1 if i >= 5 else 0)
         if i == 5:
             assert np.array_equal(state.chol, fresh.chol)
+
+
+def _carry_case(seed, t, signal_variance=2.5):
+    rng = np.random.default_rng(seed)
+    inputs = rng.random((t + 8, 2))
+    outputs = np.cos(3.0 * inputs).sum(axis=1)
+    kernel = KernelParams([0.2, 0.3], signal_variance)
+    state = fit(inputs[:t], outputs[:t], kernel, 1e-4)
+    return rng, inputs, outputs, state
+
+
+def _solved_columns(monkeypatch):
+    """Record the number of columns each triangular solve takes."""
+    solved = []
+    original = gp_module._solved_sq_norms
+
+    def spy(state, cross):
+        solved.append(cross.shape[1])
+        return original(state, cross)
+
+    monkeypatch.setattr(gp_module, "_solved_sq_norms", spy)
+    return solved
+
+
+def test_carried_variances_match_a_fresh_solve(monkeypatch):
+    # Carried variances agree with a fresh solve to t * eps * signal variance,
+    # a tolerance fixed before the carry was written; means are the same bits.
+    solved = _solved_columns(monkeypatch)
+    rng, inputs, outputs, state = _carry_case(3, CARRY_MIN_COUNT + 40)
+    carry = VarianceCarry()
+    probes = rng.random((30, 2))
+    posterior_predict_batch(state, probes, carry=carry)
+    for step in range(4):
+        state = update(state, inputs[state.count], outputs[state.count])
+        # 20 probes scored at the previous state, 10 new ones and one probe
+        # one ulp away from a scored one: 20 hits and 11 misses.
+        nudged = probes[:1].copy()
+        nudged[0, 1] = np.nextafter(nudged[0, 1], 2.0)
+        batch = np.vstack([probes[10:], rng.random((10, 2)), nudged])
+        solved.clear()
+        mean, variance = posterior_predict_batch(state, batch, carry=carry)
+        assert solved == [11]
+        fresh_mean, fresh_variance = posterior_predict_batch(state, batch)
+        assert np.array_equal(mean, fresh_mean)
+        tolerance = state.count * np.finfo(float).eps * state.kernel.signal_variance
+        assert np.max(np.abs(variance - fresh_variance)) <= tolerance
+        probes = batch
+
+
+def test_below_the_threshold_a_carry_changes_no_bit():
+    rng, inputs, outputs, state = _carry_case(4, CARRY_MIN_COUNT - 3)
+    carry = VarianceCarry()
+    probes = rng.random((25, 2))
+    for _ in range(3):
+        assert state.count < CARRY_MIN_COUNT
+        carried = posterior_predict_batch(state, probes, carry=carry)
+        fresh = posterior_predict_batch(state, probes)
+        assert np.array_equal(carried[0], fresh[0])
+        assert np.array_equal(carried[1], fresh[1])
+        state = update(state, inputs[state.count], outputs[state.count])
+
+
+@pytest.mark.parametrize("jump", ["two updates", "refit", "unrelated"])
+def test_a_carry_starts_over_unless_the_state_grew_by_one_row(monkeypatch, jump):
+    rng, inputs, outputs, state = _carry_case(5, CARRY_MIN_COUNT + 10)
+    carry = VarianceCarry()
+    probes = rng.random((20, 2))
+    posterior_predict_batch(state, probes, carry=carry)
+    t = state.count
+    if jump == "two updates":
+        state = update(update(state, inputs[t], outputs[t]), inputs[t + 1], outputs[t + 1])
+    elif jump == "refit":
+        with monkeypatch.context() as m:
+            m.setattr(
+                gp_module, "solve_triangular", lambda chol, b, **kw: np.full(b.size, 1e3)
+            )
+            state = update(state, inputs[t], outputs[t])
+        assert state.refits == 1
+    else:
+        state = fit(inputs[: t + 1], outputs[: t + 1] + 1.0, state.kernel, 0.5)
+    solved = _solved_columns(monkeypatch)
+    carried = posterior_predict_batch(state, probes, carry=carry)
+    assert solved == [len(probes)]
+    fresh = posterior_predict_batch(state, probes)
+    assert np.array_equal(carried[0], fresh[0])
+    assert np.array_equal(carried[1], fresh[1])
 
 
 def test_chol_reconstructs_noisy_gram():

@@ -301,6 +301,24 @@ def test_cli_reports_failures_with_nonzero_exit(tmp_path, monkeypatch, capsys):
     assert "boom" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--jobs", "0"], ["--jobs", "-2"]])
+def test_cli_rejects_bad_input_in_one_line(tmp_path, capsys, flags):
+    config_path = tmp_path / "exp.yaml"
+    config_path.write_text(
+        "objective: branin\nstrategies: [ei]\ntrials: 1\niterations: 2\n"
+        f"output_dir: {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(config_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gphedge: error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_experiment_rejects_fewer_than_one_job():
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(tiny_config(), jobs=0)
+
+
 def test_exp3_runs_a_hundred_iterations_on_branin():
     config = ExperimentConfig(
         objective="branin",
