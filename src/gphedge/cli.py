@@ -98,7 +98,7 @@ def main(argv=None) -> int:
                 seed=args.seed if args.seed is not None else 0,
                 output_dir=args.out if args.out is not None else "results",
             )
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         # Input the user can correct: one line and the usage exit status.
         print(f"gphedge: error: {err}", file=sys.stderr)
         return 2

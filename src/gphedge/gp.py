@@ -35,9 +35,11 @@ JITTER_INITIAL = 1e-10
 JITTER_CEILING = 1e-4
 LOG_LENGTHSCALE_BOUNDS = (math.log(1e-3), math.log(1e3))
 # Smallest state the carried variance step serves.  In BENCH_10.json
-# (``posterior``, d=2, 43 probes per call, one BLAS thread) a carried call
-# at t=64 costs about what a solve does even when every probe hits; from
-# t=128 on a hit costs at most about half a solved probe.
+# (``posterior``: d=2, 43 probes per call, one BLAS thread) a carried call
+# at t=64 saves ~10% of a solve per hit and adds ~20% per miss, so it pays
+# only above a ~66% repeat share; at t=128 a hit costs ~55% of a solve and
+# a miss adds ~12%, so it pays above ~20%, about the share the maximizer
+# repeats on Hartman-6 at t~200 (``repeats``).
 CARRY_MIN_COUNT = 128
 
 

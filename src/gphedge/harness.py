@@ -107,16 +107,23 @@ class ExperimentConfig:
         object.__setattr__(self, "name", self.name or self.objective)
 
 
+def _known_keys(raw: dict, cls) -> dict:
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+    return raw
+
+
 def load_config(path, **overrides) -> ExperimentConfig:
     """Read a YAML experiment file, applying non-None keyword overrides."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
     if "maximizer" in raw and raw["maximizer"] is not None:
-        raw["maximizer"] = MaximizerConfig(**raw["maximizer"])
+        raw["maximizer"] = MaximizerConfig(**_known_keys(raw["maximizer"], MaximizerConfig))
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value
-    return ExperimentConfig(**raw)
+    return ExperimentConfig(**_known_keys(raw, ExperimentConfig))
 
 
 def config_hash(config: ExperimentConfig) -> str:

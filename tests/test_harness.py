@@ -301,13 +301,24 @@ def test_cli_reports_failures_with_nonzero_exit(tmp_path, monkeypatch, capsys):
     assert "boom" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--trials", "0"], ["--jobs", "0"], ["--jobs", "-2"]])
-def test_cli_rejects_bad_input_in_one_line(tmp_path, capsys, flags):
+@pytest.mark.parametrize(
+    "extra, flags",
+    [
+        ("", ["--trials", "0"]),
+        ("", ["--jobs", "0"]),
+        ("", ["--jobs", "-2"]),
+        ("trails: 3\n", []),
+        ("maximizer: {budget: 5}\n", []),
+        (None, []),  # no config file
+    ],
+)
+def test_cli_rejects_bad_input_in_one_line(tmp_path, capsys, extra, flags):
     config_path = tmp_path / "exp.yaml"
-    config_path.write_text(
-        "objective: branin\nstrategies: [ei]\ntrials: 1\niterations: 2\n"
-        f"output_dir: {tmp_path / 'out'}\n"
-    )
+    if extra is not None:
+        config_path.write_text(
+            "objective: branin\nstrategies: [ei]\ntrials: 1\niterations: 2\n"
+            f"output_dir: {tmp_path / 'out'}\n{extra}"
+        )
     assert main(["run", str(config_path), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gphedge: error: ") and err.count("\n") == 1
