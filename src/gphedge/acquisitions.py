@@ -98,8 +98,53 @@ def beta_t(schedule: BetaSchedule, t: int) -> float:
     return 2.0 * math.log(schedule.cardinality * _BASEL * t * t / schedule.delta)
 
 
-def acquisition_values(
+@dataclass(frozen=True)
+class AcquisitionRows:
+    """The per-arm constants of an acquisition pass and its incumbent.
+
+    ``table`` is read-only, one column per arm: the 0/1 kind flags (PI, EI,
+    UCB), the margin xi and the UCB coefficient sqrt(nu * beta_t).
+    """
+
+    table: np.ndarray
+    incumbent: float
+
+
+def acquisition_rows(
     spec: AcquisitionSpec | Sequence[AcquisitionSpec],
+    incumbent: float | None = None,
+    t: int | None = None,
+    schedule: BetaSchedule | None = None,
+) -> AcquisitionRows:
+    """The rows of ``spec``'s arms at one incumbent and iteration index.
+
+    UCB needs ``t`` and ``schedule``, PI and EI the incumbent.  Build them
+    once for all the passes that share both, as ``bo.run`` does each
+    iteration.
+    """
+    specs = (spec,) if isinstance(spec, AcquisitionSpec) else tuple(spec)
+    beta = 0.0
+    if any(s.kind == "ucb" for s in specs):
+        if t is None or schedule is None:
+            raise ValueError("ucb needs the iteration index and a beta schedule")
+        beta = beta_t(schedule, t)
+    if incumbent is None:
+        if not all(s.kind == "ucb" for s in specs):
+            raise ValueError("pi and ei need the incumbent value")
+        incumbent = 0.0  # read only by UCB rows, which discard it
+    table = np.array(
+        [
+            (s.kind == "pi", s.kind == "ei", s.kind == "ucb", s.xi, math.sqrt(s.nu * beta))
+            for s in specs
+        ],
+        dtype=float,
+    ).T.copy()
+    table.flags.writeable = False
+    return AcquisitionRows(table, incumbent)
+
+
+def acquisition_values(
+    spec: AcquisitionSpec | Sequence[AcquisitionSpec] | AcquisitionRows,
     mean,
     sigma,
     incumbent: float | None = None,
@@ -112,8 +157,12 @@ def acquisition_values(
     With one spec, ``mean`` and ``sigma`` are 1-d arrays of marginals.  With
     a sequence of specs, they hold every arm's rows stacked arm by arm,
     ``counts[arm]`` rows each (0 for an arm with none), the shape that a
-    lockstep ``maximize`` hands its objective.  All rows are evaluated in one
-    vectorized pass with per-row margins and UCB coefficients:
+    lockstep ``maximize`` hands its objective.  ``spec`` may also be the
+    :class:`AcquisitionRows` of the arms, built once by
+    :func:`acquisition_rows` for calls that share an incumbent and t; the
+    call is then the same pass without the per-arm set-up.  All rows are
+    evaluated in one vectorized pass with per-row margins and UCB
+    coefficients:
 
     - PI: Phi((mean - incumbent - xi) / sigma), or [gap > 0] where sigma = 0;
     - EI: gap Phi(z) + sigma phi(z), 0 where sigma = 0, clamped at 0;
@@ -123,34 +172,18 @@ def acquisition_values(
     on that arm's rows alone, so splitting or stacking the arms never
     changes a bit of the result.
     """
-    specs = (spec,) if isinstance(spec, AcquisitionSpec) else tuple(spec)
+    rows = spec if isinstance(spec, AcquisitionRows) else acquisition_rows(
+        spec, incumbent, t, schedule
+    )
     mean = np.asarray(mean, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if counts is None:
-        if len(specs) != 1:
+        if rows.table.shape[1] != 1:
             raise ValueError("several specs need the row count of each")
-        counts = (mean.size,)
-    beta = 0.0
-    if any(s.kind == "ucb" for s in specs):
-        if t is None or schedule is None:
-            raise ValueError("ucb needs the iteration index and a beta schedule")
-        beta = beta_t(schedule, t)
-    if incumbent is None:
-        if not all(s.kind == "ucb" for s in specs):
-            raise ValueError("pi and ei need the incumbent value")
-        incumbent = 0.0  # read only by UCB rows, which discard it
-    # One row per arm of 0/1 kind flags, margin and UCB coefficient, then
-    # one column per evaluated row.
-    per_arm = [
-        v
-        for s in specs
-        for v in (s.kind == "pi", s.kind == "ei", s.kind == "ucb", s.xi, math.sqrt(s.nu * beta))
-    ]
-    is_pi, is_ei, is_ucb, xi, coef = (
-        np.array(per_arm, dtype=float).reshape(-1, 5).T.repeat(counts, axis=1)
-    )
+        counts = mean.size
+    is_pi, is_ei, is_ucb, xi, coef = rows.table.repeat(counts, axis=1)
 
-    gap = mean - incumbent - xi
+    gap = mean - rows.incumbent - xi
     positive = sigma > 0.0
     safe = np.where(positive, sigma, 1.0)
     z = gap / safe

@@ -22,7 +22,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics
-from .acquisitions import AcquisitionSpec, BetaSchedule, acquisition_values
+from .acquisitions import (
+    AcquisitionSpec,
+    BetaSchedule,
+    acquisition_rows,
+    acquisition_values,
+)
 from .gp import (
     KernelParams,
     NumericsError,
@@ -235,18 +240,13 @@ def run(config: RunConfig) -> TrialRecord:
             mu_plus = float(posterior_mean(gp, gp.inputs).max())
 
             # One posterior call and one acquisition pass answer the probes
-            # of every arm still searching, stacked arm by arm.
+            # of every arm still searching, stacked arm by arm; the arms'
+            # rows of that pass are built once per iteration.
+            rows = acquisition_rows(arms, incumbent=mu_plus, t=t, schedule=schedule)
+
             def utilities(points, counts):
                 mean, variance = posterior_predict_batch(gp, points, carry=carry)
-                return acquisition_values(
-                    arms,
-                    mean,
-                    np.sqrt(variance),
-                    incumbent=mu_plus,
-                    t=t,
-                    schedule=schedule,
-                    counts=counts,
-                )
+                return acquisition_values(rows, mean, np.sqrt(variance), counts=counts)
 
             configs = [
                 replace(

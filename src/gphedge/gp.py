@@ -90,7 +90,7 @@ def _scaled(x, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
             f"points must have dimension {params.dimension}, got shape {x.shape}"
         )
     xs = x.reshape(-1, params.dimension) / params.lengthscales
-    return xs, (xs * xs).sum(axis=1)
+    return xs, np.add.reduce(xs * xs, axis=1)
 
 
 def _kernel(xs, x_norms, zs, z_norms, signal_variance: float) -> np.ndarray:

@@ -106,10 +106,12 @@ def _potentially_optimal(arms, ranks, classes, values, n_arms):
     """
     n = values.size
     group = arms * classes.size + ranks
-    rep_vals = np.full(n_arms * classes.size, math.inf)
+    rep_vals = np.empty(n_arms * classes.size)
+    rep_vals.fill(math.inf)
     np.minimum.at(rep_vals, group, values)
-    at_min = np.flatnonzero(values == rep_vals[group])
-    reps = np.full(n_arms * classes.size, n)
+    at_min = (values == rep_vals[group]).nonzero()[0]
+    reps = np.empty(n_arms * classes.size, dtype=np.intp)
+    reps.fill(n)
     np.minimum.at(reps, group[at_min], at_min)
     reps = reps.reshape(n_arms, -1)
     rep_vals = rep_vals.reshape(n_arms, -1)
@@ -125,15 +127,15 @@ def _potentially_optimal(arms, ranks, classes, values, n_arms):
         slopes /= (classes[:, None] - classes)[:, None, :]
         from_below = slopes.transpose(2, 1, 0).copy()
         np.copyto(slopes, math.inf, where=unused)
-        k_hi = slopes.min(axis=0)
+        k_hi = np.minimum.reduce(slopes)
         np.copyto(from_below, -math.inf, where=unused.transpose(2, 1, 0))
-        k_lo = from_below.max(axis=0)
-        k_lo[np.arange(n_arms), present.argmax(axis=1)] = 0.0
-        best = rep_vals.min(axis=1, keepdims=True)
+        k_lo = np.maximum.reduce(from_below)
+        # An arm's smallest class is the one with no finite slope from below.
+        np.copyto(k_lo, 0.0, where=k_lo == -math.inf)
+        best = np.minimum.reduce(rep_vals, axis=1, keepdims=True)
+        # Where k_hi = +inf the intercept is -inf, below any margin.
         intercept = rep_vals - k_hi * classes
-        keep = present & ~(k_lo > k_hi) & ~(
-            np.isfinite(k_hi) & (intercept > best - _ENVELOPE_EPS * abs(best))
-        )
+        keep = present & (k_lo <= k_hi) & (intercept <= best - _ENVELOPE_EPS * abs(best))
     return reps[keep]
 
 
@@ -216,11 +218,11 @@ def _direct_search(g, dimension: int, budgets: np.ndarray) -> list:
     n = k
     while True:
         stopped = searching & (sizes >= budgets)
-        if stopped.any():
+        if np.logical_or.reduce(stopped):
             searching &= ~stopped
             owner = arms[:n]
-            for arm in np.flatnonzero(stopped):
-                rows = np.flatnonzero(owner == arm)
+            for arm in stopped.nonzero()[0]:
+                rows = (owner == arm).nonzero()[0]
                 samples[arm] = (centers[rows], values[rows])
             keep = searching[owner]
             n = int(np.count_nonzero(keep))
@@ -230,13 +232,13 @@ def _direct_search(g, dimension: int, budgets: np.ndarray) -> list:
                 return samples
         selected = _potentially_optimal(arms[:n], ranks[:n], classes, values[:n], k)
         lev = levels[selected]
-        shortest = lev.min(axis=1)
+        shortest = np.minimum.reduce(lev, axis=1)
         longest = lev == shortest[:, None]
-        counts = longest.sum(axis=1)
-        rect, dim = np.nonzero(longest)
+        counts = np.add.reduce(longest, axis=1)
+        rect, dim = longest.nonzero()
         pairs = np.arange(rect.size)
         pair_arms = arms[selected][rect]
-        probes = np.repeat(centers[selected], 2 * counts, axis=0)
+        probes = centers[selected].repeat(2 * counts, axis=0)
         offsets = np.multiply.outer(3.0 ** (-1 - shortest[rect]), _PAIR_SIGNS)
         probes.reshape(-1, 2, dimension)[pairs, :, dim] += offsets
         probed = 2 * np.bincount(pair_arms, minlength=k)
@@ -251,10 +253,11 @@ def _direct_search(g, dimension: int, budgets: np.ndarray) -> list:
         split = np.lexsort((np.minimum(probe_vals[0::2], probe_vals[1::2]), rect))
         position = np.empty_like(pairs)
         position[split] = pairs
-        order = np.full(lev.shape, rect.size)
+        order = np.empty_like(lev)
+        order.fill(rect.size)
         order[rect, dim] = position
         pair_levels = lev[rect] + (order[rect] <= pairs[:, None])
-        last = np.cumsum(counts) - 1
+        last = counts.cumsum() - 1
         levels[selected] = pair_levels[last]
 
         count = 2 * rect.size
@@ -301,7 +304,7 @@ def _pattern_search(g, starts: np.ndarray, owners: np.ndarray, steps: np.ndarray
     limits = set(steps.tolist())
     for taken in range(int(steps.max())):
         # An arm can only stop at its step limit or once a step is tiny.
-        if taken in limits or step.min() < _MIN_STEP:
+        if taken in limits or np.minimum.reduce(step) < _MIN_STEP:
             moving = np.zeros(k, dtype=bool)
             moving[owner[step >= _MIN_STEP]] = True
             moving &= steps > taken
@@ -316,7 +319,8 @@ def _pattern_search(g, starts: np.ndarray, owners: np.ndarray, steps: np.ndarray
                 at = np.arange(rows.size)
                 counts = 2 * dimension * np.bincount(owner, minlength=k)
         probes = x[:, None, :] + step[:, None, None] * moves
-        np.clip(probes, 0.0, 1.0, out=probes)
+        np.maximum(probes, 0.0, out=probes)
+        np.minimum(probes, 1.0, out=probes)
         vals = g(probes.reshape(-1, dimension), counts).reshape(rows.size, -1)
         best = vals.argmin(axis=1)
         best_val = vals[at, best]
@@ -331,7 +335,7 @@ def _pattern_search(g, starts: np.ndarray, owners: np.ndarray, steps: np.ndarray
 def _lexicographic_best(points: np.ndarray, values: np.ndarray) -> int:
     """Index of the minimum value; exact ties go to the smallest point."""
     best = values.min()
-    ties = np.flatnonzero(values == best)
+    ties = (values == best).nonzero()[0]
     if ties.size == 1:
         return int(ties[0])
     order = np.lexsort(points[ties].T[::-1])
@@ -367,7 +371,7 @@ def maximize(
         x = lower + u * span
         vals = np.asarray(f(x, counts), dtype=float).reshape(u.shape[0])
         finite = np.isfinite(vals)
-        if not finite.all():
+        if not np.logical_and.reduce(finite):
             row = int(np.argmin(finite))
             arm = int(np.searchsorted(np.cumsum(counts), row, side="right"))
             raise NumericsError(f"arm {arm} returned a non-finite value at {x[row]}")

@@ -10,6 +10,7 @@ from scipy.special import erfc
 from gphedge.acquisitions import (
     AcquisitionSpec,
     BetaSchedule,
+    acquisition_rows,
     acquisition_values,
     beta_t,
     ei,
@@ -229,6 +230,9 @@ def test_many_arm_pass_is_bit_identical_to_per_arm_calls(n_arms):
         stacked = acquisition_values(
             specs, mean, sigma, incumbent=incumbent, t=t, schedule=schedule, counts=counts
         )
+        rows = acquisition_rows(specs, incumbent=incumbent, t=t, schedule=schedule)
+        assert not rows.table.flags.writeable
+        assert np.array_equal(acquisition_values(rows, mean, sigma, counts=counts), stacked)
         end = 0
         for spec, count in zip(specs, counts):
             rows = slice(end, end + count)
