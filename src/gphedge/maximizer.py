@@ -92,82 +92,87 @@ def latin_hypercube(count: int, dimension: int, rng: np.random.Generator) -> np.
     return u
 
 
-def _potentially_optimal(arms, ranks, classes, values, n_arms):
+def _potentially_optimal(arms, sums, values, n_arms, dimension):
     """Per arm, one rectangle per measure class on the lower Lipschitz envelope.
 
-    Rectangle r belongs to arm ``arms[r]`` and to measure class ``ranks[r]``
-    of ``classes``, the measures in increasing order.  Each (arm, class) is
-    represented by its lowest value, ties going to the lowest index.  Within
-    an arm, class i is kept when k_lo <= k_hi, where k_lo is the steepest
-    slope from a smaller class of that arm (0 for its smallest) and k_hi the
-    shallowest slope to a larger one, and when its envelope intercept at
-    slope k_hi lies at least eps*|best| below the arm's best value.  The
-    result is arm by arm, each in increasing order of measure.
+    Rectangle r belongs to arm ``arms[r]`` and to the class of its level sum
+    ``sums[r]`` at ``dimension``.  The class axis runs over top - S, top
+    being the largest sum passed in, so in increasing order of measure; a
+    class that an arm lacks, or that no rectangle holds, has value +inf for
+    that arm.  The measures and the other per-class constants come from
+    :func:`_class_table`.  Each (arm, class) is represented by its lowest
+    value, ties going to the lowest index.  Within an arm, class i is kept
+    when k_lo <= k_hi, where k_lo is the steepest slope from a smaller class
+    of that arm (0 for its smallest) and k_hi the shallowest slope to a
+    larger one, and when its envelope intercept at slope k_hi lies at least
+    eps*|best| below the arm's best value.  The result is arm by arm, each
+    in increasing order of measure.
     """
     n = values.size
-    group = arms * classes.size + ranks
-    rep_vals = np.empty(n_arms * classes.size)
+    top = int(np.maximum.reduce(sums))
+    size = top - int(np.minimum.reduce(sums)) + 1
+    measures, gaps, unused, unused_below = _class_table(top, size, dimension)
+    group = arms * size + (top - sums)
+    rep_vals = np.empty(n_arms * size)
     rep_vals.fill(math.inf)
     np.minimum.at(rep_vals, group, values)
     at_min = (values == rep_vals[group]).nonzero()[0]
-    reps = np.empty(n_arms * classes.size, dtype=np.intp)
+    reps = np.empty(n_arms * size, dtype=np.intp)
     reps.fill(n)
     np.minimum.at(reps, group[at_min], at_min)
     reps = reps.reshape(n_arms, -1)
     rep_vals = rep_vals.reshape(n_arms, -1)
     present = reps < n
     # slopes[i, a, j] = (f_i - f_j) / (d_i - d_j) of arm a, used only for
-    # j < i.  A class the arm lacks has value +inf, so its slopes are -inf
-    # from below and +inf to above and never set k_lo or k_hi of a class it
-    # has.  k_hi reduces over i and k_lo, from a transposed copy, over j:
-    # both along the outer axis, which NumPy reduces fastest.
-    unused = _unused_pairs(classes.size)
+    # j < i: -inf from a class the arm lacks and +inf to one.  k_hi reduces
+    # over i and k_lo, from a transposed copy, over j: both along the outer
+    # axis, which NumPy reduces fastest.
     with np.errstate(divide="ignore", invalid="ignore"):
         slopes = np.subtract(rep_vals.T[:, :, None], rep_vals, order="C")
-        slopes /= (classes[:, None] - classes)[:, None, :]
+        slopes /= gaps
         from_below = slopes.transpose(2, 1, 0).copy()
         np.copyto(slopes, math.inf, where=unused)
         k_hi = np.minimum.reduce(slopes)
-        np.copyto(from_below, -math.inf, where=unused.transpose(2, 1, 0))
+        np.copyto(from_below, -math.inf, where=unused_below)
         k_lo = np.maximum.reduce(from_below)
         # An arm's smallest class is the one with no finite slope from below.
         np.copyto(k_lo, 0.0, where=k_lo == -math.inf)
         best = np.minimum.reduce(rep_vals, axis=1, keepdims=True)
         # Where k_hi = +inf the intercept is -inf, below any margin.
-        intercept = rep_vals - k_hi * classes
+        intercept = rep_vals - k_hi * measures
         keep = present & (k_lo <= k_hi) & (intercept <= best - _ENVELOPE_EPS * abs(best))
     return reps[keep]
 
 
-@functools.lru_cache(maxsize=64)
-def _unused_pairs(size: int) -> np.ndarray:
-    """Read-only (size, 1, size) mask of the class pairs (i, j) with j >= i."""
-    mask = ~np.tri(size, k=-1, dtype=bool)[:, None, :]
-    mask.flags.writeable = False
-    return mask
+@functools.lru_cache(maxsize=256)
+def _class_table(top: int, size: int, dimension: int):
+    """Read-only constants of the classes of level sums top, top-1, ...,
+    top-size+1 at ``dimension``: the measures, their (size, 1, size)
+    differences d_i - d_j, and the masks of the class pairs (i, j) with
+    j >= i, in the layout of the slopes and of their transpose.
+
+    A rectangle's sides sit at levels {L, L+1}, so its level sum S fixes
+    the multiset: L = S // d, with S % d sides at L+1.  The measure is taken
+    from those canonical levels, the L+1 sides first, so every arrangement
+    of one multiset has one measure.
+    """
+    sums = top - np.arange(size)
+    low, high = np.divmod(sums, dimension)
+    levels = low[:, None] + (np.arange(dimension) < high[:, None])
+    measures = _half_diagonal(levels)
+    gaps = (measures[:, None] - measures)[:, None, :]
+    unused = ~np.tri(size, k=-1, dtype=bool)[:, None, :]
+    unused_below = unused.transpose(2, 1, 0).copy()
+    table = (measures, gaps, unused, unused_below)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _half_diagonal(levels: np.ndarray) -> np.ndarray:
     """Half the diagonal of rectangles trisected ``levels`` times per side."""
     sides = 3.0 ** -levels
     return 0.5 * np.sqrt((sides * sides).sum(axis=1))
-
-
-def _ranked(classes: np.ndarray, measures: np.ndarray, ranks: np.ndarray):
-    """Rank ``measures`` among ``classes``, the sorted distinct measures.
-
-    Returns the classes, the rank of every measure, and the new rank of
-    every old class (None when the classes stay).  When a measure is new,
-    the classes become the new measures and the old classes that ``ranks``
-    still uses.
-    """
-    at = np.searchsorted(classes, measures)
-    if (classes[np.minimum(at, classes.size - 1)] == measures).all():
-        return classes, at, None
-    used = np.zeros(classes.size, dtype=bool)
-    used[ranks] = True
-    merged = np.union1d(classes[used], measures)
-    return merged, np.searchsorted(merged, measures), np.searchsorted(merged, classes)
 
 
 def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
@@ -191,26 +196,26 @@ def _direct_search(g, dimension: int, budgets: np.ndarray) -> list:
 
     All arms' rectangles live in one set of arrays that double when full,
     with an arm column; an arm's rectangles keep its own order of creation,
-    and a stopped arm's are moved out.  Each rectangle holds the rank of its
-    measure among the distinct measures seen so far, computed when its
-    levels change.  A sweep's probes go to ``g(points, counts)`` as one
-    batch, arm by arm with ``counts[arm]`` rows each; within an arm,
-    rectangle by rectangle in increasing measure and, within one, by
-    ascending dimension, the lower point of each pair first.  New rectangles
-    are appended in split order.
+    and a stopped arm's are moved out.  Each rectangle also holds its level
+    sum, which is its measure class: its sides sit at two adjacent levels,
+    so the sum fixes its levels up to order, and a larger sum is a smaller
+    measure.  A split sets the sums of the rectangles it makes.  A sweep's
+    probes go to ``g(points, counts)`` as one batch, arm by arm with
+    ``counts[arm]`` rows each; within an arm, rectangle by rectangle in
+    increasing measure and, within one, by ascending dimension, the lower
+    point of each pair first.  New rectangles are appended in split order.
     """
     k = budgets.size
     capacity = int(budgets.sum()) + 2 * dimension * k
     centers = np.empty((capacity, dimension))
     levels = np.empty((capacity, dimension), dtype=int)
     values = np.empty(capacity)
-    ranks = np.empty(capacity, dtype=np.intp)
+    sums = np.empty(capacity, dtype=np.intp)
     arms = np.empty(capacity, dtype=np.intp)
     centers[:k] = 0.5
     levels[:k] = 0
-    ranks[:k] = 0
+    sums[:k] = 0
     arms[:k] = np.arange(k)
-    classes = _half_diagonal(levels[:1])
     values[:k] = g(centers[:k], np.ones(k, dtype=int))
     sizes = np.ones(k, dtype=int)
     searching = np.ones(k, dtype=bool)
@@ -226,11 +231,11 @@ def _direct_search(g, dimension: int, budgets: np.ndarray) -> list:
                 samples[arm] = (centers[rows], values[rows])
             keep = searching[owner]
             n = int(np.count_nonzero(keep))
-            for array in (centers, levels, values, ranks, arms):
+            for array in (centers, levels, values, sums, arms):
                 array[:n] = array[: keep.size][keep]
             if n == 0:
                 return samples
-        selected = _potentially_optimal(arms[:n], ranks[:n], classes, values[:n], k)
+        selected = _potentially_optimal(arms[:n], sums[:n], values[:n], k, dimension)
         lev = levels[selected]
         shortest = np.minimum.reduce(lev, axis=1)
         longest = lev == shortest[:, None]
@@ -263,21 +268,17 @@ def _direct_search(g, dimension: int, budgets: np.ndarray) -> list:
         count = 2 * rect.size
         if n + count > capacity:
             capacity = 2 * (n + count)
-            centers, levels, values, ranks, arms = (
-                _grown(a, capacity) for a in (centers, levels, values, ranks, arms)
+            centers, levels, values, sums, arms = (
+                _grown(a, capacity) for a in (centers, levels, values, sums, arms)
             )
         new = slice(n, n + count)
         centers[new] = probes.reshape(-1, 2, dimension)[split].reshape(-1, dimension)
         values[new] = probe_vals.reshape(-1, 2)[split].reshape(-1)
         levels[new] = pair_levels.repeat(2, axis=0)
         arms[new] = pair_arms.repeat(2)
-        classes, pair_ranks, moved = _ranked(
-            classes, _half_diagonal(pair_levels), ranks[:n]
-        )
-        if moved is not None:
-            ranks[:n] = moved[ranks[:n]]
-        ranks[selected] = pair_ranks[last]
-        ranks[new] = pair_ranks.repeat(2)
+        pair_sums = np.add.reduce(pair_levels, axis=1)
+        sums[selected] = pair_sums[last]
+        sums[new] = pair_sums.repeat(2)
         n += count
         sizes += probed
 
