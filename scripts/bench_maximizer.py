@@ -11,7 +11,10 @@ plus pattern search), the inner problem of every BO iteration, twice:
   call that makes one posterior call per sweep; an older checkout makes
   nine one-arm calls.  A checkout whose ``acquisition_values`` takes the
   arms' row ``counts`` evaluates each sweep's acquisitions in that one
-  call, as ``bo.run`` does; an older one loops over the arms.
+  call, as ``bo.run`` does; an older one loops over the arms.  A checkout
+  with ``acquisitions.acquisition_rows`` builds the arms' rows once per
+  ``maximize`` call, for one arm and for nine, as ``bo.run`` builds them
+  once per iteration.
 
 Every call is made once to warm up, then ``REPEATS`` more times, going
 round-robin over all calls, so that the repeats of one call are spread over
@@ -30,8 +33,11 @@ several pairs of runs:
 Each run replaces its own label's section and keeps the others.  The
 section records cores, NumPy and SciPy versions, the OpenBLAS core and the
 git sha of the checkout, and per case and arm count the fastest and the
-median repeat, every repeat and the number of points evaluated, which must
-agree between checkouts whose maximizers pick the same points.
+median repeat, every repeat, the number of points evaluated and the number
+of objective calls the ``maximize`` call made (one per DIRECT sweep and per
+pattern step, plus two), which must agree between checkouts whose
+maximizers pick the same points.  The fastest repeat over the calls is the
+cost of one sweep or step with its objective call.
 
 Two more sections size the carried posterior variance of ``gphedge.gp``:
 
@@ -116,9 +122,9 @@ def environment(src: Path) -> dict:
 
 def case_calls(d: int, t: int) -> dict:
     """The one-arm and nine-arm maximizations of case (d, t); each call
-    returns the number of points it evaluated."""
+    returns the number of points it evaluated and of objective calls."""
     import numpy as np
-    from gphedge import maximizer
+    from gphedge import acquisitions, maximizer
     from gphedge.acquisitions import BetaSchedule, acquisition_values, ei
     from gphedge.gp import KernelParams, fit, posterior_predict_batch
     from gphedge.harness import default_portfolio
@@ -135,6 +141,11 @@ def case_calls(d: int, t: int) -> dict:
     arms = default_portfolio(9)
     configs = [MaximizerConfig(seed=d + t + i) for i in range(len(arms))]
     many_arm = "counts" in inspect.signature(acquisition_values).parameters
+    arm_rows = None
+    if hasattr(acquisitions, "acquisition_rows"):
+        arm_rows = acquisitions.acquisition_rows(
+            arms, incumbent=incumbent, t=t, schedule=schedule
+        )
     evaluated = []
 
     def utility(points, spec):
@@ -148,6 +159,8 @@ def case_calls(d: int, t: int) -> dict:
         evaluated.append(points.shape[0])
         mean, variance = posterior_predict_batch(state, points)
         sigma = np.sqrt(variance)
+        if arm_rows is not None:
+            return acquisition_values(arm_rows, mean, sigma, counts=counts)
         if many_arm:
             return acquisition_values(
                 arms, mean, sigma, incumbent=incumbent, t=t, schedule=schedule, counts=counts
@@ -163,8 +176,14 @@ def case_calls(d: int, t: int) -> dict:
                 end += count
         return values
 
+    one_spec = ei(0.01)
+    if arm_rows is not None:
+        one_spec = acquisitions.acquisition_rows(
+            one_spec, incumbent=incumbent, t=t, schedule=schedule
+        )
+
     def one_arm():
-        maximize(lambda x: utility(x, ei(0.01)), box, MaximizerConfig(seed=d + t))
+        maximize(lambda x: utility(x, one_spec), box, MaximizerConfig(seed=d + t))
 
     if hasattr(maximizer, "_direct_search"):
         def nine_arms():
@@ -178,7 +197,7 @@ def case_calls(d: int, t: int) -> dict:
         def call():
             evaluated.clear()
             run()
-            return sum(evaluated)
+            return sum(evaluated), len(evaluated)
 
         return call
 
@@ -313,11 +332,14 @@ def main(argv=None) -> int:
             case = {"d": d, "t": t}
             for arm in ("one_arm", "nine_arm"):
                 repeats = seconds[d, t, arm]
+                evaluated, objective_calls = points[d, t, arm]
                 case[arm] = {
                     "min_s": min(repeats),
                     "median_s": statistics.median(repeats),
                     "repeats_s": repeats,
-                    "points_per_call": points[d, t, arm],
+                    "points_per_call": evaluated,
+                    "objective_calls_per_call": objective_calls,
+                    "min_us_per_objective_call": min(repeats) / objective_calls * 1e6,
                 }
             one, nine = (case[arm]["min_s"] * 1e3 for arm in ("one_arm", "nine_arm"))
             print(f"d={d:2d} t={t:3d}: one arm {one:8.1f} ms, nine arms {nine:8.1f} ms",

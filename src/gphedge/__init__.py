@@ -1,5 +1,8 @@
 """Bayesian optimization with a bandit-managed portfolio of acquisitions."""
 
+# Set before the submodules load: the harness records it in every summary.
+__version__ = "0.1.0"
+
 from .acquisitions import (
     AcquisitionSpec,
     BetaSchedule,
@@ -8,7 +11,7 @@ from .acquisitions import (
     pi,
     ucb,
 )
-from .bo import RunConfig, TrialRecord, initial_design, run
+from .bo import RunConfig, TrialRecord, run
 from .gp import (
     GpState,
     KernelParams,
@@ -63,5 +66,3 @@ from .portfolio import (
     update_hedge,
     update_normalhedge,
 )
-
-__version__ = "0.1.0"

@@ -37,13 +37,7 @@ from .gp import (
     posterior_predict_batch,
     update,
 )
-from .maximizer import (
-    BoxDomain,
-    MaximizerConfig,
-    latin_hypercube,
-    maximize,
-    unit_box,
-)
+from .maximizer import MaximizerConfig, latin_hypercube, maximize, unit_box
 from .objectives import ObjectiveSpec
 from .portfolio import STRATEGIES, new_portfolio, observe, probabilities, select_arm
 
@@ -151,14 +145,6 @@ def _derived_seed(*parts: int) -> int:
 
 def _stream(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(parts)))
-
-
-def initial_design(domain: BoxDomain, count: int, seed: int) -> np.ndarray:
-    """Latin-hypercube points in the box, deterministic given the seed."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    return domain.from_unit(latin_hypercube(count, domain.dimension, rng))
 
 
 def _observe(

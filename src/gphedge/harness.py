@@ -18,9 +18,11 @@ each worker receives its ``RunConfig`` pickled, objective included.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import subprocess
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from csv import writer as csv_writer
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import metrics, objectives
+from . import __version__, metrics, objectives
 from .acquisitions import AcquisitionSpec, ei, pi, ucb
 from .bo import RunConfig, run
 from .gp import KernelParams, fit_hyperparameters
@@ -346,11 +348,32 @@ def _strategy_summary(table: ResultTable, strategy: str) -> dict:
     return summary
 
 
+@functools.cache
+def _git_sha() -> str | None:
+    """The commit checked out where this package's sources live, once per
+    process; None outside a git checkout or without git."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=30,
+            check=False,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = proc.stdout.strip()
+    return sha if proc.returncode == 0 and sha else None
+
+
 def emit(table: ResultTable, output_dir=None) -> dict[str, Path]:
     """Write the long-format CSV and the JSON summary; returns the paths.
 
-    Synthetic objectives are additionally saved as a self-contained .npz so
-    the experiment can be replayed elsewhere.
+    The summary names the code that produced it: the package version and
+    the git sha of its checkout (null outside one).  ``config_hash`` and the
+    CSV do not depend on it.  Synthetic objectives are additionally saved as
+    a self-contained .npz so the experiment can be replayed elsewhere.
     """
     out = Path(output_dir if output_dir is not None else table.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -390,6 +413,7 @@ def emit(table: ResultTable, output_dir=None) -> dict[str, Path]:
     summary = {
         "experiment": table.config.name,
         "config_hash": config_hash(table.config),
+        "code": {"version": __version__, "git_sha": _git_sha()},
         "objective": table.objective.name,
         "known_optimum": table.objective.known_optimum,
         "iterations": table.config.iterations,

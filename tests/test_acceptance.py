@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gphedge.acquisitions import BetaSchedule, acquisition_values, ei, pi
-from gphedge.bo import RunConfig, initial_design, run
+from gphedge.bo import RunConfig, run
 from gphedge.cli import main as cli_main
 from gphedge.gp import (
     KernelParams,
@@ -22,7 +22,7 @@ from gphedge.gp import (
     posterior_predict_batch,
 )
 from gphedge.harness import ExperimentConfig, default_portfolio, run_experiment
-from gphedge.maximizer import MaximizerConfig, unit_box
+from gphedge.maximizer import MaximizerConfig, latin_hypercube, unit_box
 from gphedge.metrics import band_coverage_violated, variance_sum_check
 from gphedge.objectives import branin, hartman3, sample_synthetic_objective
 from gphedge.portfolio import new_portfolio, probabilities, update_hedge
@@ -224,7 +224,7 @@ def test_criterion_4_confidence_band_coverage():
     delta = 0.1
     replications = 200
     kernel = KernelParams([0.35, 0.35])
-    grid = initial_design(unit_box(2), 1000, seed=4)
+    grid = unit_box(2).from_unit(latin_hypercube(1000, 2, np.random.default_rng(4)))
     schedule = BetaSchedule(delta=delta, cardinality=1000)
     violations = sum(
         band_coverage_violated(

@@ -5,10 +5,10 @@ import pytest
 
 from gphedge.acquisitions import ei, pi, ucb
 import gphedge.bo as bo_module
-from gphedge.bo import RunConfig, initial_design, run
+from gphedge.bo import RunConfig, run
 from gphedge.gp import CARRY_MIN_COUNT, KernelParams, NumericsError, posterior_predict_batch
 from gphedge.harness import default_portfolio
-from gphedge.maximizer import BoxDomain, MaximizerConfig
+from gphedge.maximizer import BoxDomain, MaximizerConfig, latin_hypercube
 from gphedge.objectives import ObjectiveSpec, branin, sample_synthetic_objective
 
 FAST = MaximizerConfig(direct_budget=60, multistart_count=3, local_steps=8)
@@ -175,15 +175,19 @@ def test_hedge_shifts_probability_toward_the_dominant_arm():
 
 def test_initial_design_is_deterministic_and_stratified():
     box = BoxDomain([0.0, -1.0], [2.0, 3.0])
-    pts = initial_design(box, 8, seed=3)
-    assert np.array_equal(pts, initial_design(box, 8, seed=3))
-    assert not np.array_equal(pts, initial_design(box, 8, seed=4))
+
+    def design(count, seed):
+        return box.from_unit(latin_hypercube(count, 2, np.random.default_rng(seed)))
+
+    pts = design(8, seed=3)
+    assert np.array_equal(pts, design(8, seed=3))
+    assert not np.array_equal(pts, design(8, seed=4))
     assert pts.shape == (8, 2)
     unit = (pts - box.lower) / box.span
     for j in range(2):
         assert np.all(np.histogram(unit[:, j], bins=8, range=(0, 1))[0] == 1)
     with pytest.raises(ValueError):
-        initial_design(box, 0, seed=1)
+        config(init_samples=0)
 
 
 def test_numeric_failures_name_the_iteration():

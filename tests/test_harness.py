@@ -149,6 +149,32 @@ def test_emit_includes_summary_series(tmp_path):
     assert summary["known_optimum"] == approx(-5 / (4 * np.pi))
 
 
+def test_summary_names_the_code_version(tmp_path, monkeypatch):
+    import json
+
+    import gphedge
+    import gphedge.harness as harness_module
+
+    table = run_experiment(tiny_config(strategies=("ei",), trials=1))
+    first = json.loads(emit(table, tmp_path / "a")["json"].read_text())["code"]
+    second = json.loads(emit(table, tmp_path / "b")["json"].read_text())["code"]
+    assert first == second
+    assert first["version"] == gphedge.__version__
+    sha = first["git_sha"]
+    assert sha is None or (len(sha) == 40 and int(sha, 16) >= 0)
+
+    def no_git(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    harness_module._git_sha.cache_clear()
+    monkeypatch.setattr(harness_module.subprocess, "run", no_git)
+    try:
+        summary = json.loads(emit(table, tmp_path / "c")["json"].read_text())
+    finally:
+        harness_module._git_sha.cache_clear()
+    assert summary["code"] == {"version": gphedge.__version__, "git_sha": None}
+
+
 def test_synthetic_experiment_saves_replayable_objective(tmp_path, monkeypatch):
     config = tiny_config(
         objective="synthetic",

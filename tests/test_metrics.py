@@ -5,10 +5,10 @@ import pytest
 from pytest import approx
 
 from gphedge.acquisitions import BetaSchedule, beta_t
-from gphedge.bo import RunConfig, TrialRecord, initial_design, run
+from gphedge.bo import RunConfig, TrialRecord, run
 from gphedge.gp import KernelParams
 from gphedge.harness import default_portfolio
-from gphedge.maximizer import MaximizerConfig, unit_box
+from gphedge.maximizer import MaximizerConfig, latin_hypercube, unit_box
 from gphedge.metrics import (
     aggregate,
     band_coverage_violated,
@@ -242,7 +242,7 @@ def test_aggregate_means_and_variances():
 def test_band_coverage_rarely_violated_at_small_scale():
     kernel = KernelParams([0.4, 0.4])
     schedule = BetaSchedule(delta=0.1, cardinality=250)
-    grid = initial_design(unit_box(2), 250, seed=0)
+    grid = unit_box(2).from_unit(latin_hypercube(250, 2, np.random.default_rng(0)))
     violations = sum(
         band_coverage_violated(
             kernel, 0.01, grid, schedule, steps=10, rng=np.random.default_rng(rep)
