@@ -14,7 +14,8 @@ plus pattern search), the inner problem of every BO iteration, twice:
   call, as ``bo.run`` does; an older one loops over the arms.  A checkout
   with ``acquisitions.acquisition_rows`` builds the arms' rows once per
   ``maximize`` call, for one arm and for nine, as ``bo.run`` builds them
-  once per iteration.
+  once per iteration, and passes ``acquisition_values`` only the rows and
+  the marginals.
 
 Every call is made once to warm up, then ``REPEATS`` more times, going
 round-robin over all calls, so that the repeats of one call are spread over
@@ -143,14 +144,14 @@ def case_calls(d: int, t: int) -> dict:
     many_arm = "counts" in inspect.signature(acquisition_values).parameters
     arm_rows = None
     if hasattr(acquisitions, "acquisition_rows"):
-        arm_rows = acquisitions.acquisition_rows(
-            arms, incumbent=incumbent, t=t, schedule=schedule
-        )
+        arm_rows = acquisitions.acquisition_rows(arms, incumbent, t, schedule)
     evaluated = []
 
     def utility(points, spec):
         evaluated.append(points.shape[0])
         mean, variance = posterior_predict_batch(state, points)
+        if arm_rows is not None:
+            return acquisition_values(spec, mean, np.sqrt(variance))
         return acquisition_values(
             spec, mean, np.sqrt(variance), incumbent=incumbent, t=t, schedule=schedule
         )
@@ -178,9 +179,7 @@ def case_calls(d: int, t: int) -> dict:
 
     one_spec = ei(0.01)
     if arm_rows is not None:
-        one_spec = acquisitions.acquisition_rows(
-            one_spec, incumbent=incumbent, t=t, schedule=schedule
-        )
+        one_spec = acquisitions.acquisition_rows((one_spec,), incumbent, t, schedule)
 
     def one_arm():
         maximize(lambda x: utility(x, one_spec), box, MaximizerConfig(seed=d + t))

@@ -1,9 +1,10 @@
 """Closed-form acquisition functions over a GP posterior: PI, EI and GP-UCB.
 
 All three are pure functions of the posterior marginals.
-:func:`acquisition_values` evaluates them on arrays of marginals, for one
-arm or for every arm of a portfolio in one pass, and backs the inner
-maximization loop.  GP-UCB's confidence width comes from a schedule over a
+:func:`acquisition_rows` holds the per-arm constants of a portfolio at one
+incumbent and iteration, and :func:`acquisition_values` evaluates every
+arm on arrays of marginals in one pass; it backs the inner maximization
+loop.  GP-UCB's confidence width comes from a schedule over a
 finite candidate set.
 """
 
@@ -30,7 +31,9 @@ def normal_cdf(z):
 
 def normal_pdf(z):
     z = np.asarray(z, dtype=float)
-    return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    # z * z overflows to inf only where the density underflows to 0 anyway.
+    with np.errstate(over="ignore"):
+        return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
 
 
 @dataclass(frozen=True)
@@ -111,27 +114,14 @@ class AcquisitionRows:
 
 
 def acquisition_rows(
-    spec: AcquisitionSpec | Sequence[AcquisitionSpec],
-    incumbent: float | None = None,
-    t: int | None = None,
-    schedule: BetaSchedule | None = None,
+    specs: Sequence[AcquisitionSpec], incumbent: float, t: int, schedule: BetaSchedule
 ) -> AcquisitionRows:
-    """The rows of ``spec``'s arms at one incumbent and iteration index.
+    """The rows of the arms ``specs`` at one incumbent and iteration index.
 
-    UCB needs ``t`` and ``schedule``, PI and EI the incumbent.  Build them
-    once for all the passes that share both, as ``bo.run`` does each
-    iteration.
+    Build them once for all the passes that share both, as ``bo.run`` does
+    each iteration.
     """
-    specs = (spec,) if isinstance(spec, AcquisitionSpec) else tuple(spec)
-    beta = 0.0
-    if any(s.kind == "ucb" for s in specs):
-        if t is None or schedule is None:
-            raise ValueError("ucb needs the iteration index and a beta schedule")
-        beta = beta_t(schedule, t)
-    if incumbent is None:
-        if not all(s.kind == "ucb" for s in specs):
-            raise ValueError("pi and ei need the incumbent value")
-        incumbent = 0.0  # read only by UCB rows, which discard it
+    beta = beta_t(schedule, t)
     table = np.array(
         [
             (s.kind == "pi", s.kind == "ei", s.kind == "ucb", s.xi, math.sqrt(s.nu * beta))
@@ -143,26 +133,14 @@ def acquisition_rows(
     return AcquisitionRows(table, incumbent)
 
 
-def acquisition_values(
-    spec: AcquisitionSpec | Sequence[AcquisitionSpec] | AcquisitionRows,
-    mean,
-    sigma,
-    incumbent: float | None = None,
-    t: int | None = None,
-    schedule: BetaSchedule | None = None,
-    counts=None,
-) -> np.ndarray:
-    """Evaluate one acquisition, or several arms', on posterior marginals.
+def acquisition_values(rows: AcquisitionRows, mean, sigma, counts=None) -> np.ndarray:
+    """Evaluate the arms of ``rows`` on posterior marginals.
 
-    With one spec, ``mean`` and ``sigma`` are 1-d arrays of marginals.  With
-    a sequence of specs, they hold every arm's rows stacked arm by arm,
+    ``mean`` and ``sigma`` hold every arm's rows stacked arm by arm,
     ``counts[arm]`` rows each (0 for an arm with none), the shape that a
-    lockstep ``maximize`` hands its objective.  ``spec`` may also be the
-    :class:`AcquisitionRows` of the arms, built once by
-    :func:`acquisition_rows` for calls that share an incumbent and t; the
-    call is then the same pass without the per-arm set-up.  All rows are
-    evaluated in one vectorized pass with per-row margins and UCB
-    coefficients:
+    lockstep ``maximize`` hands its objective; ``counts`` may be left out
+    when ``rows`` holds one arm.  All rows are evaluated in one vectorized
+    pass with per-row margins and UCB coefficients:
 
     - PI: Phi((mean - incumbent - xi) / sigma), or [gap > 0] where sigma = 0;
     - EI: gap Phi(z) + sigma phi(z), 0 where sigma = 0, clamped at 0;
@@ -172,14 +150,11 @@ def acquisition_values(
     on that arm's rows alone, so splitting or stacking the arms never
     changes a bit of the result.
     """
-    rows = spec if isinstance(spec, AcquisitionRows) else acquisition_rows(
-        spec, incumbent, t, schedule
-    )
     mean = np.asarray(mean, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if counts is None:
         if rows.table.shape[1] != 1:
-            raise ValueError("several specs need the row count of each")
+            raise ValueError("several arms need the row count of each")
         counts = mean.size
     is_pi, is_ei, is_ucb, xi, coef = rows.table.repeat(counts, axis=1)
 

@@ -197,9 +197,9 @@ def run(config: RunConfig) -> TrialRecord:
         init_y[i], f_true_init[i] = _observe(objective, init_raw[i], noise_std, rng_noise)
     gp = fit(init_unit, (init_y - shift) / scale, kernel, gp_noise)
 
-    # Horizon-aware learning rate: the horizon-free eta_t is far too
-    # aggressive in the first rounds and locks onto early random leaders
-    # before the surrogate knows anything.
+    # A fixed, horizon-aware learning rate: the horizon-free
+    # eta_t = sqrt(8 ln N / t) is far too aggressive in the first rounds and
+    # locks onto early random leaders before the surrogate knows anything.
     eta = math.sqrt(8.0 * math.log(max(n_arms, 2)) / T)
     bandit = new_portfolio(config.strategy, n_arms, eta=eta)
 

@@ -18,6 +18,10 @@ A posterior variance is the prior minus q(x) = |L^-1 k(x)|^2, and
   e = (k(x_new, x) - w.k_{1:t}(x)) / p and w = L_t^-T ℓ is solved once per
   state: the last step of the forward substitution a fresh solve would
   take.  Its result agrees with the solve to round-off, not bit for bit.
+
+The kernel's signal variance is 1, so the prior variance is 1: the
+calibration standardizes the outputs, and the variance-sum diagnostics of
+:mod:`gphedge.metrics` rely on that bound.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 JITTER_INITIAL = 1e-10
@@ -47,23 +51,25 @@ class NumericsError(RuntimeError):
     """Linear algebra failed beyond what jitter escalation can absorb."""
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """``values`` itself, made read-only: for arrays no caller holds."""
+    values.flags.writeable = False
+    return values
+
+
+def _readonly(values) -> np.ndarray:
+    """A read-only copy of a caller's array."""
+    return _frozen(np.array(values, dtype=float))
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """ARD squared-exponential kernel: one lengthscale per input dimension.
-
-    Lengthscales are expressed in normalized (unit-box) input coordinates.
-    The signal variance defaults to 1 so that the posterior variance is
-    bounded by 1, which the variance-sum diagnostics rely on.
+    """ARD squared-exponential kernel of unit signal variance: one
+    lengthscale per input dimension, in normalized (unit-box) input
+    coordinates.
     """
 
     lengthscales: np.ndarray
-    signal_variance: float = 1.0
 
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
@@ -71,11 +77,7 @@ class KernelParams:
             raise ValueError("lengthscales must be a non-empty vector")
         if not np.all(np.isfinite(ls)) or np.any(ls <= 0.0):
             raise ValueError("lengthscales must be strictly positive and finite")
-        sv = float(self.signal_variance)
-        if not (math.isfinite(sv) and sv > 0.0):
-            raise ValueError("signal_variance must be strictly positive")
         object.__setattr__(self, "lengthscales", _readonly(ls))
-        object.__setattr__(self, "signal_variance", sv)
 
     @property
     def dimension(self) -> int:
@@ -93,28 +95,25 @@ def _scaled(x, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
     return xs, np.add.reduce(xs * xs, axis=1)
 
 
-def _kernel(xs, x_norms, zs, z_norms, signal_variance: float) -> np.ndarray:
+def _kernel(xs, x_norms, zs, z_norms) -> np.ndarray:
     """Cross-covariance of scaled points given their squared norms.
 
-    The squared distances are |x|^2 + |z|^2 - 2 x.z, clamped at zero.  The
-    chain runs in one array, each step the float operation it would be out
-    of place; multiplying by a unit signal variance changes no bit, so it
-    is skipped.
+    The kernel is exp(-(|x|^2 + |z|^2 - 2 x.z) / 2), the squared distance
+    clamped at zero.  It runs as four passes over one array:
+    (-|x|^2/2 + -|z|^2/2) + x.z, clamped at zero from above, then exp.
+    Scaling by -1/2 is exact and commutes with rounding, so each entry
+    holds the same bits as the chain with the distance formed first.
     """
-    sq = xs @ zs.T
-    sq *= 2.0
-    np.subtract(x_norms[:, None] + z_norms[None, :], sq, out=sq)
-    np.maximum(sq, 0.0, out=sq)
-    sq *= -0.5
+    sq = np.add.outer(-0.5 * x_norms, -0.5 * z_norms)
+    sq += xs @ zs.T
+    np.minimum(sq, 0.0, out=sq)
     np.exp(sq, out=sq)
-    if signal_variance != 1.0:
-        sq *= signal_variance
     return sq
 
 
 def kernel_matrix(x, z, params: KernelParams) -> np.ndarray:
     """Cross-covariance matrix for row-stacked point sets x (n,d) and z (m,d)."""
-    return _kernel(*_scaled(x, params), *_scaled(z, params), params.signal_variance)
+    return _kernel(*_scaled(x, params), *_scaled(z, params))
 
 
 @dataclass(frozen=True)
@@ -150,20 +149,33 @@ class GpState:
         return self.kernel.dimension
 
 
-def _chol_with_jitter(gram: np.ndarray, signal_variance: float):
+def _chol_with_jitter(gram: np.ndarray):
     """Cholesky with an escalating diagonal shift; raises past the ceiling."""
-    jitter = JITTER_INITIAL * signal_variance
-    ceiling = JITTER_CEILING * signal_variance
-    eye = np.eye(gram.shape[0])
+    jitter = JITTER_INITIAL
+    shifted = gram.copy()
+    diagonal = gram.diagonal()
     while True:
+        np.fill_diagonal(shifted, diagonal + jitter)
         try:
-            return np.linalg.cholesky(gram + jitter * eye), jitter
+            return np.linalg.cholesky(shifted), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
-            if jitter > ceiling:
+            if jitter > JITTER_CEILING:
                 raise NumericsError(
-                    f"Gram matrix not positive definite at jitter {ceiling:g}"
+                    f"Gram matrix not positive definite at jitter {JITTER_CEILING:g}"
                 ) from None
+
+
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = b for the cached lower factor L.
+
+    LAPACK reads ``chol.T`` as the upper factor in place, where scipy's
+    ``cho_solve`` would first copy a C-ordered factor to Fortran order.
+    """
+    x, info = dpotrs(chol.T, b, lower=0)
+    if info != 0:
+        raise NumericsError(f"Cholesky solve failed (LAPACK info {info})")
+    return x
 
 
 def fit(inputs, outputs, kernel: KernelParams, noise_variance: float) -> GpState:
@@ -178,33 +190,32 @@ def fit(inputs, outputs, kernel: KernelParams, noise_variance: float) -> GpState
     scaled, norms = _scaled(x, kernel)
     if t == 0:
         return GpState(
-            inputs=_readonly(np.empty((0, kernel.dimension))),
-            outputs=_readonly(np.empty(0)),
+            inputs=_frozen(np.empty((0, kernel.dimension))),
+            outputs=_frozen(np.empty(0)),
             kernel=kernel,
             noise_variance=float(noise_variance),
-            chol=_readonly(np.empty((0, 0))),
-            alpha=_readonly(np.empty(0)),
-            jitter=JITTER_INITIAL * kernel.signal_variance,
-            scaled_inputs=_readonly(scaled),
-            scaled_norms=_readonly(norms),
+            chol=_frozen(np.empty((0, 0))),
+            alpha=_frozen(np.empty(0)),
+            jitter=JITTER_INITIAL,
+            scaled_inputs=_frozen(scaled),
+            scaled_norms=_frozen(norms),
         )
     # Not _kernel(scaled, ..., scaled, ...): NumPy computes ``a @ a.T`` as
     # a symmetric product, whose bits differ from those of two equal arrays.
     gram = kernel_matrix(x, x, kernel)
-    np.fill_diagonal(gram, kernel.signal_variance)
+    np.fill_diagonal(gram, 1.0)
     gram[np.diag_indices(t)] += noise_variance
-    chol, jitter = _chol_with_jitter(gram, kernel.signal_variance)
-    alpha = cho_solve((chol, True), y, check_finite=False)
+    chol, jitter = _chol_with_jitter(gram)
     return GpState(
         inputs=_readonly(x),
         outputs=_readonly(y),
         kernel=kernel,
         noise_variance=float(noise_variance),
-        chol=_readonly(chol),
-        alpha=_readonly(alpha),
+        chol=_frozen(chol),
+        alpha=_frozen(_cho_solve(chol, y)),
         jitter=jitter,
-        scaled_inputs=_readonly(scaled),
-        scaled_norms=_readonly(norms),
+        scaled_inputs=_frozen(scaled),
+        scaled_norms=_frozen(norms),
     )
 
 
@@ -219,10 +230,8 @@ def update(state: GpState, x, y: float) -> GpState:
     if t == 0:
         return fit(new_inputs, new_outputs, state.kernel, state.noise_variance)
     kernel = state.kernel
-    cross = _kernel(
-        state.scaled_inputs, state.scaled_norms, *_scaled(x, kernel), kernel.signal_variance
-    )[:, 0]
-    diag = kernel.signal_variance + state.noise_variance + state.jitter
+    cross = _kernel(state.scaled_inputs, state.scaled_norms, *_scaled(x, kernel))[:, 0]
+    diag = 1.0 + state.noise_variance + state.jitter
     row = solve_triangular(state.chol, cross, lower=True, check_finite=False)
     pivot = diag - float(row @ row)
     if pivot <= 0.0:
@@ -233,29 +242,23 @@ def update(state: GpState, x, y: float) -> GpState:
     chol[:t, :t] = state.chol
     chol[t, :t] = row
     chol[t, t] = math.sqrt(pivot)
-    alpha = cho_solve((chol, True), new_outputs, check_finite=False)
     scaled, norms = _scaled(new_inputs, kernel)
     return GpState(
-        inputs=_readonly(new_inputs),
-        outputs=_readonly(new_outputs),
+        inputs=_frozen(new_inputs),
+        outputs=_frozen(new_outputs),
         kernel=kernel,
         noise_variance=state.noise_variance,
-        chol=_readonly(chol),
-        alpha=_readonly(alpha),
+        chol=_frozen(chol),
+        alpha=_frozen(_cho_solve(chol, new_outputs)),
         jitter=state.jitter,
-        scaled_inputs=_readonly(scaled),
-        scaled_norms=_readonly(norms),
+        scaled_inputs=_frozen(scaled),
+        scaled_norms=_frozen(norms),
         refits=state.refits,
     )
 
 
 def _cross_and_mean(state: GpState, x) -> tuple[np.ndarray, np.ndarray]:
-    cross = _kernel(
-        state.scaled_inputs,
-        state.scaled_norms,
-        *_scaled(x, state.kernel),
-        state.kernel.signal_variance,
-    )
+    cross = _kernel(state.scaled_inputs, state.scaled_norms, *_scaled(x, state.kernel))
     return cross, cross.T @ state.alpha
 
 
@@ -350,14 +353,13 @@ def posterior_predict_batch(
     carried variance step; see the module docstring.
     """
     cross, mean = _cross_and_mean(state, x)
-    prior = state.kernel.signal_variance
     if state.count == 0:
-        return mean, np.full(mean.size, prior)
+        return mean, np.ones(mean.size)
     if carry is None or state.count < CARRY_MIN_COUNT:
         q = _solved_sq_norms(state, cross)
     else:
         q = carry.sq_norms(state, x, cross)
-    variance = prior - q
+    variance = 1.0 - q
     np.maximum(variance, 0.0, out=variance)
     return mean, variance
 
@@ -374,25 +376,24 @@ def log_marginal_likelihood(state: GpState) -> float:
     )
 
 
-def _nll_and_grad(log_ls, x, y, noise_variance, signal_variance):
+def _nll_and_grad(log_ls, x, y, noise_variance):
     """Negative log marginal likelihood and its gradient in log-lengthscales."""
     t = y.size
-    params = KernelParams(np.exp(log_ls), signal_variance)
-    plain = kernel_matrix(x, x, params)
-    np.fill_diagonal(plain, signal_variance)
+    plain = kernel_matrix(x, x, KernelParams(np.exp(log_ls)))
+    np.fill_diagonal(plain, 1.0)
     gram = plain.copy()
     gram[np.diag_indices(t)] += noise_variance
     try:
-        chol, _ = _chol_with_jitter(gram, signal_variance)
+        chol, _ = _chol_with_jitter(gram)
     except NumericsError:
         return 1e25, np.zeros_like(log_ls)
-    alpha = cho_solve((chol, True), y, check_finite=False)
+    alpha = _cho_solve(chol, y)
     nll = (
         0.5 * float(y @ alpha)
         + float(np.sum(np.log(np.diag(chol))))
         + 0.5 * t * math.log(2.0 * math.pi)
     )
-    inv = cho_solve((chol, True), np.eye(t), check_finite=False)
+    inv = _cho_solve(chol, np.eye(t))
     inner = np.outer(alpha, alpha) - inv
     grad = np.empty(log_ls.size)
     for j in range(log_ls.size):
@@ -407,7 +408,6 @@ def fit_hyperparameters(
     noise_variance: float,
     search_budget: int = 8,
     seed: int = 0,
-    signal_variance: float = 1.0,
 ) -> KernelParams:
     """Maximize the log marginal likelihood over ARD lengthscales.
 
@@ -431,7 +431,7 @@ def fit_hyperparameters(
             RuntimeWarning,
             stacklevel=2,
         )
-        return KernelParams(np.ones(d), signal_variance)
+        return KernelParams(np.ones(d))
     rng = np.random.default_rng(seed)
     starts = [np.zeros(d)]
     while len(starts) < max(1, int(search_budget)):
@@ -442,11 +442,11 @@ def fit_hyperparameters(
         result = minimize(
             _nll_and_grad,
             start,
-            args=(x, y, float(noise_variance), float(signal_variance)),
+            args=(x, y, float(noise_variance)),
             jac=True,
             method="L-BFGS-B",
             bounds=[(lo, hi)] * d,
         )
         if best is None or result.fun < best.fun:
             best = result
-    return KernelParams(np.exp(best.x), signal_variance)
+    return KernelParams(np.exp(best.x))

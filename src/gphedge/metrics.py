@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .acquisitions import BetaSchedule, beta_t
-from .gp import KernelParams, fit, kernel_matrix, posterior_predict_batch, update
 
 if TYPE_CHECKING:
     from .bo import TrialRecord
@@ -196,34 +195,3 @@ def aggregate(records: Sequence[TrialRecord], f_star: float) -> AggregateSummary
         trials=len(records),
     )
 
-
-def band_coverage_violated(
-    kernel: KernelParams,
-    gp_noise: float,
-    grid: np.ndarray,
-    schedule: BetaSchedule,
-    steps: int,
-    rng: np.random.Generator,
-) -> bool:
-    """One coverage replication of the confidence-band deviation bound.
-
-    Draws a function from the GP prior restricted to the finite grid, then
-    samples ``steps`` noisy observations at random grid points, checking
-    before each one whether |f - mean| <= sqrt(beta_t) * sd anywhere fails
-    on the grid.  Returns True when any violation occurred.
-    """
-    grid = np.asarray(grid, dtype=float)
-    gram = kernel_matrix(grid, grid, kernel)
-    np.fill_diagonal(gram, kernel.signal_variance)
-    chol = np.linalg.cholesky(gram + 1e-10 * np.eye(grid.shape[0]))
-    f_grid = chol @ rng.standard_normal(grid.shape[0])
-    state = fit(np.empty((0, grid.shape[1])), [], kernel, gp_noise)
-    for t in range(1, steps + 1):
-        mean, variance = posterior_predict_batch(state, grid)
-        width = math.sqrt(beta_t(schedule, t)) * np.sqrt(variance)
-        if np.any(np.abs(f_grid - mean) > width):
-            return True
-        pick = int(rng.integers(grid.shape[0]))
-        y = f_grid[pick] + math.sqrt(gp_noise) * rng.standard_normal()
-        state = update(state, grid[pick], y)
-    return False

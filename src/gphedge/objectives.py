@@ -190,10 +190,9 @@ class SyntheticFunction:
 
 def _gram_factor(theta, points) -> tuple[np.ndarray, float]:
     """Jittered Cholesky factor of the anchors' Gram matrix, and its jitter."""
-    params = KernelParams(theta)
-    gram = kernel_matrix(points, points, params)
-    np.fill_diagonal(gram, params.signal_variance)
-    return _chol_with_jitter(gram, params.signal_variance)
+    gram = kernel_matrix(points, points, KernelParams(theta))
+    np.fill_diagonal(gram, 1.0)
+    return _chol_with_jitter(gram)
 
 
 def _interpolant(theta, points, targets, chol, jitter) -> SyntheticFunction:

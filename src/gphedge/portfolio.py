@@ -17,13 +17,15 @@ import numpy as np
 from .gp import NumericsError
 
 STRATEGIES = ("hedge", "exp3", "normalhedge", "uniform")
+# Exp3's share of uniform exploration.
+EXP3_GAMMA = 0.1
 
 
 @dataclass(frozen=True)
 class PortfolioState:
     """Cumulative per-arm gains plus everything needed to pick the next arm.
 
-    ``eta=None`` selects the horizon-free learning rate sqrt(8 ln N / t).
+    ``eta`` is the learning rate of Hedge and of Exp3's inner Hedge.
     ``reward_lo``/``reward_hi`` track the observed raw-reward range; when
     ``rescale`` is set, rewards are mapped affinely into [0, 1] before any
     gain update, which keeps learning rates meaningful on objectives of
@@ -32,9 +34,8 @@ class PortfolioState:
 
     strategy: str
     gains: np.ndarray
+    eta: float
     t: int = 0
-    eta: float | None = None
-    exp3_gamma: float = 0.1
     nh_regrets: np.ndarray | None = None
     reward_lo: float = math.inf
     reward_hi: float = -math.inf
@@ -46,8 +47,6 @@ class PortfolioState:
         gains = np.asarray(self.gains, dtype=float)
         if gains.ndim != 1 or gains.size < 1:
             raise ValueError("gains must be a non-empty vector")
-        if not (0.0 < self.exp3_gamma <= 1.0):
-            raise ValueError("exp3_gamma must lie in (0, 1]")
         object.__setattr__(self, "gains", gains)
         if self.strategy == "normalhedge" and self.nh_regrets is None:
             object.__setattr__(self, "nh_regrets", np.zeros(gains.size))
@@ -58,25 +57,11 @@ class PortfolioState:
 
 
 def new_portfolio(
-    strategy: str,
-    arms: int,
-    eta: float | None = None,
-    exp3_gamma: float = 0.1,
-    rescale: bool = True,
+    strategy: str, arms: int, eta: float, rescale: bool = True
 ) -> PortfolioState:
     return PortfolioState(
-        strategy=strategy,
-        gains=np.zeros(arms),
-        eta=eta,
-        exp3_gamma=exp3_gamma,
-        rescale=rescale,
+        strategy=strategy, gains=np.zeros(arms), eta=eta, rescale=rescale
     )
-
-
-def _learning_rate(state: PortfolioState) -> float:
-    if state.eta is not None:
-        return state.eta
-    return math.sqrt(8.0 * math.log(max(state.arms, 2)) / max(state.t, 1))
 
 
 def _softmax(gains: np.ndarray, eta: float) -> np.ndarray:
@@ -122,9 +107,9 @@ def probabilities(state: PortfolioState) -> np.ndarray:
         return np.full(n, 1.0 / n)
     if state.strategy == "normalhedge":
         return _normalhedge_weights(state.nh_regrets)
-    inner = _softmax(state.gains, _learning_rate(state))
+    inner = _softmax(state.gains, state.eta)
     if state.strategy == "exp3":
-        return (1.0 - state.exp3_gamma) * inner + state.exp3_gamma / n
+        return (1.0 - EXP3_GAMMA) * inner + EXP3_GAMMA / n
     return inner
 
 

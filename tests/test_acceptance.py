@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from gphedge.acquisitions import BetaSchedule, acquisition_values, ei, pi
+from gphedge.acquisitions import BetaSchedule, acquisition_rows, acquisition_values, ei, pi
 from gphedge.bo import RunConfig, run
 from gphedge.cli import main as cli_main
 from gphedge.gp import (
@@ -23,11 +23,12 @@ from gphedge.gp import (
 )
 from gphedge.harness import ExperimentConfig, default_portfolio, run_experiment
 from gphedge.maximizer import MaximizerConfig, latin_hypercube, unit_box
-from gphedge.metrics import band_coverage_violated, variance_sum_check
+from gphedge.metrics import variance_sum_check
 from gphedge.objectives import branin, hartman3, sample_synthetic_objective
 from gphedge.portfolio import new_portfolio, probabilities, update_hedge
 
 from test_gp import dense_oracle
+from test_metrics import band_coverage_violated
 
 FAST_MAXIMIZER = MaximizerConfig(direct_budget=100, multistart_count=4, local_steps=12)
 
@@ -175,10 +176,9 @@ def test_criterion_2_acquisition_monte_carlo_oracles():
         samples = mean + sigma * rng.standard_normal(draws)
         improvement = samples - incumbent - xi
         closed_ei, closed_pi = acquisition_values(
-            (ei(xi), pi(xi)),
+            acquisition_rows((ei(xi), pi(xi)), incumbent, 1, BetaSchedule()),
             [mean, mean],
             [math.sqrt(sigma * sigma)] * 2,
-            incumbent=incumbent,
             counts=(1, 1),
         )
 
@@ -269,13 +269,16 @@ def _adversarial_streams(count, horizon, arms, rng):
 
 def test_criterion_5_hedge_regret_bound():
     start = time.perf_counter()
+    # At bo.run's eta = sqrt(8 ln N / T), Hedge's regret is at most
+    # ln N / eta + eta T / 8 = sqrt(T ln N / 2).
     arms, horizon = 9, 10_000
-    bound = 2.0 * math.sqrt(2.0 * horizon * math.log(arms))
+    eta = math.sqrt(8.0 * math.log(arms) / horizon)
+    bound = math.sqrt(horizon * math.log(arms) / 2.0)
     rng = np.random.default_rng(20250505)
     worst = -math.inf
     ok = True
     for rewards, adaptive in _adversarial_streams(100, horizon, arms, rng):
-        state = new_portfolio("hedge", arms, rescale=False)
+        state = new_portfolio("hedge", arms, eta=eta, rescale=False)
         expected_gain = 0.0
         for t in range(horizon):
             p = probabilities(state)

@@ -19,23 +19,28 @@ from gphedge.acquisitions import (
 )
 
 
+# Schedule crafted so that beta_1 = 10 exactly: delta = 50 (pi^2/6) / e^5.
+_BETA10 = BetaSchedule(delta=0.554173927970673, cardinality=50)
+
+
+def one_arm(spec, incumbent=0.0, t=1, schedule=_BETA10):
+    return acquisition_rows((spec,), incumbent, t, schedule)
+
+
 def acq_pi(mean, variance, incumbent, xi):
     """PI at one point, through the vectorized pass."""
-    return float(acquisition_values(pi(xi), [mean], [math.sqrt(variance)], incumbent)[0])
+    rows = one_arm(pi(xi), incumbent)
+    return float(acquisition_values(rows, [mean], [math.sqrt(variance)])[0])
 
 
 def acq_ei(mean, variance, incumbent, xi):
-    return float(acquisition_values(ei(xi), [mean], [math.sqrt(variance)], incumbent)[0])
+    rows = one_arm(ei(xi), incumbent)
+    return float(acquisition_values(rows, [mean], [math.sqrt(variance)])[0])
 
 
 def acq_ucb(mean, variance, t, nu, schedule):
-    return float(
-        acquisition_values(ucb(nu), [mean], [math.sqrt(variance)], t=t, schedule=schedule)[0]
-    )
-
-
-# Schedule crafted so that beta_1 = 10 exactly: delta = 50 (pi^2/6) / e^5.
-_BETA10 = BetaSchedule(delta=0.554173927970673, cardinality=50)
+    rows = one_arm(ucb(nu), t=t, schedule=schedule)
+    return float(acquisition_values(rows, [mean], [math.sqrt(variance)])[0])
 
 
 def test_pi_at_the_margin_is_one_half():
@@ -169,7 +174,8 @@ def test_ranges_and_finiteness(mean, sigma, incumbent, xi):
 
 def test_ucb_nondecreasing_in_sigma():
     sigmas = np.linspace(0.0, 3.0, 40)
-    values = acquisition_values(ucb(0.2), np.zeros_like(sigmas), sigmas, t=4, schedule=_BETA10)
+    rows = one_arm(ucb(0.2), t=4)
+    values = acquisition_values(rows, np.zeros_like(sigmas), sigmas)
     assert np.all(np.diff(values) >= 0.0)
 
 
@@ -178,12 +184,14 @@ def test_vectorized_forms_match_scalar_ops():
     means = rng.uniform(-2, 2, size=20)
     sigmas = rng.uniform(0, 2, size=20)
     sigmas[0] = 0.0
+    pi_values = acquisition_values(one_arm(pi(0.01), 0.3), means, sigmas)
+    ei_values = acquisition_values(one_arm(ei(0.01), 0.3), means, sigmas)
     for i in range(20):
         variance = sigmas[i] ** 2
-        assert acquisition_values(pi(0.01), means, sigmas, 0.3)[i] == approx(
+        assert pi_values[i] == approx(
             acq_pi(means[i], variance, 0.3, 0.01), abs=1e-14
         )
-        assert acquisition_values(ei(0.01), means, sigmas, 0.3)[i] == approx(
+        assert ei_values[i] == approx(
             acq_ei(means[i], variance, 0.3, 0.01), abs=1e-14
         )
 
@@ -227,34 +235,28 @@ def test_many_arm_pass_is_bit_identical_to_per_arm_calls(n_arms):
         sigma[rng.random(n) < 0.25] = 0.0
         incumbent = float(rng.normal())
         t = int(rng.integers(1, 200))
-        stacked = acquisition_values(
-            specs, mean, sigma, incumbent=incumbent, t=t, schedule=schedule, counts=counts
-        )
-        rows = acquisition_rows(specs, incumbent=incumbent, t=t, schedule=schedule)
+        rows = acquisition_rows(specs, incumbent, t, schedule)
         assert not rows.table.flags.writeable
-        assert np.array_equal(acquisition_values(rows, mean, sigma, counts=counts), stacked)
+        stacked = acquisition_values(rows, mean, sigma, counts=counts)
         end = 0
         for spec, count in zip(specs, counts):
-            rows = slice(end, end + count)
+            arm = slice(end, end + count)
             alone = acquisition_values(
-                spec, mean[rows], sigma[rows], incumbent=incumbent, t=t, schedule=schedule
+                acquisition_rows((spec,), incumbent, t, schedule), mean[arm], sigma[arm]
             )
-            frozen = _frozen_reference(spec, mean[rows], sigma[rows], incumbent, t, schedule)
-            assert np.array_equal(stacked[rows], alone)
+            frozen = _frozen_reference(spec, mean[arm], sigma[arm], incumbent, t, schedule)
+            assert np.array_equal(stacked[arm], alone)
             assert np.array_equal(alone, frozen)
             end += count
 
 
 def test_dispatcher_requires_context():
     with pytest.raises(ValueError):
-        acquisition_values(pi(), [0.0], [1.0])
-    with pytest.raises(ValueError):
-        acquisition_values(ucb(), [0.0], [1.0])
-    out = acquisition_values(ei(), [0.0], [1.0], incumbent=0.0)
+        acquisition_rows((pi(), ucb()), 0.0, 0, _BETA10)  # t starts at 1
+    out = acquisition_values(one_arm(ei()), [0.0], [1.0])
     assert out.shape == (1,)
+    two = acquisition_rows((pi(), ucb()), 0.0, 1, _BETA10)
     with pytest.raises(ValueError):
-        acquisition_values((pi(), ei()), [0.0, 1.0], [1.0, 1.0], incumbent=0.0)
-    out = acquisition_values(
-        (pi(), ucb()), [0.0, 1.0], [1.0, 1.0], incumbent=0.0, t=1, schedule=_BETA10, counts=(1, 1)
-    )
+        acquisition_values(two, [0.0, 1.0], [1.0, 1.0])
+    out = acquisition_values(two, [0.0, 1.0], [1.0, 1.0], counts=(1, 1))
     assert out.shape == (2,)

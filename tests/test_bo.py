@@ -274,7 +274,7 @@ def test_shared_posterior_call_matches_per_arm_calls(monkeypatch):
 def test_maximizer_probes_carry_their_variances_on_a_large_gp(monkeypatch):
     # From CARRY_MIN_COUNT observations on, the maximizer's posterior calls
     # share one carry per trial: means keep their bits, variances agree
-    # with a fresh solve to t * eps * signal variance, and the outer calls
+    # with a fresh solve to t * eps * prior variance, and the outer calls
     # whose results the record holds take no carry.
     carried = []
     outer = []
@@ -283,7 +283,7 @@ def test_maximizer_probes_carry_their_variances_on_a_large_gp(monkeypatch):
         mean, variance = posterior_predict_batch(state, points, carry=carry)
         fresh_mean, fresh_variance = posterior_predict_batch(state, points)
         assert np.array_equal(mean, fresh_mean)
-        tolerance = state.count * np.finfo(float).eps * state.kernel.signal_variance
+        tolerance = state.count * np.finfo(float).eps
         assert np.max(np.abs(variance - fresh_variance)) <= tolerance
         (outer if carry is None else carried).append(carry)
         return mean, variance

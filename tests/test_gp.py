@@ -34,17 +34,16 @@ def dense_oracle(inputs, outputs, kernel, noise_variance, query, jitter=1e-10):
     for i in range(t):
         for j in range(t):
             r = (inputs[i] - inputs[j]) / kernel.lengthscales
-            gram[i, j] = kernel.signal_variance * math.exp(-0.5 * float(r @ r))
+            gram[i, j] = math.exp(-0.5 * float(r @ r))
     inv = np.linalg.inv(gram + (noise_variance + jitter) * np.eye(t))
     k = np.array(
         [
-            kernel.signal_variance
-            * math.exp(-0.5 * float(np.sum(((query - inputs[i]) / kernel.lengthscales) ** 2)))
+            math.exp(-0.5 * float(np.sum(((query - inputs[i]) / kernel.lengthscales) ** 2)))
             for i in range(t)
         ]
     )
     mean = float(k @ inv @ outputs)
-    variance = float(kernel.signal_variance - k @ inv @ k)
+    variance = float(1.0 - k @ inv @ k)
     sign, logdet = np.linalg.slogdet(gram + (noise_variance + jitter) * np.eye(t))
     assert sign > 0
     lml = float(
@@ -75,8 +74,7 @@ def test_kernel_zero_distance_is_exactly_signal_variance():
     params = KernelParams([0.7, 3.0, 0.01])
     x = np.array([1.0, -2.0, 0.5])
     assert kernel_at(x, x, params) == 1.0
-    scaled = KernelParams([1.0], signal_variance=2.5)
-    assert kernel_at([0.3], [0.3], scaled) == 2.5
+    assert kernel_at([0.3], [0.3], KernelParams([1.0])) == 1.0
 
 
 def test_kernel_hand_computed_values():
@@ -110,7 +108,7 @@ def test_kernel_params_validation():
     with pytest.raises(ValueError):
         KernelParams([np.inf])
     with pytest.raises(ValueError):
-        KernelParams([1.0], signal_variance=0.0)
+        KernelParams([])
 
 
 @given(st.integers(0, 10**6))
@@ -118,11 +116,11 @@ def test_kernel_params_validation():
 def test_kernel_symmetric_and_bounded(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 7))
-    params = KernelParams(rng.uniform(0.05, 5.0, size=d), rng.uniform(0.5, 3.0))
+    params = KernelParams(rng.uniform(0.05, 5.0, size=d))
     a, b = rng.standard_normal((2, d))
     kab = kernel_at(a, b, params)
     assert kab == kernel_at(b, a, params)
-    assert 0.0 <= kab <= params.signal_variance
+    assert 0.0 <= kab <= 1.0
 
 
 def test_empty_state_predicts_the_prior():
@@ -214,15 +212,17 @@ def _frozen_kernel_matrix(x, z, params):
         - 2.0 * (xs @ zs.T)
     )
     np.maximum(sq, 0.0, out=sq)
-    return params.signal_variance * np.exp(-0.5 * sq)
+    return np.exp(-0.5 * sq)
 
 
-@pytest.mark.parametrize("signal_variance", [1.0, 0.3, 2.5])
-def test_kernel_matrix_is_bit_identical_to_the_frozen_expression(signal_variance):
-    rng = np.random.default_rng(int(signal_variance * 10))
+@pytest.mark.parametrize("scale", [1.0, 0.3, 2.5])
+def test_kernel_matrix_is_bit_identical_to_the_frozen_expression(scale):
+    # ``scale`` multiplies the lengthscales: short ones underflow many
+    # entries to zero, long ones keep them all close to 1.
+    rng = np.random.default_rng(int(scale * 10))
     for _ in range(60):
         d = int(rng.integers(1, 7))
-        params = KernelParams(rng.uniform(1e-2, 3.0, size=d), signal_variance)
+        params = KernelParams(scale * rng.uniform(1e-2, 3.0, size=d))
         x = rng.uniform(-1.0, 2.0, size=(int(rng.integers(1, 30)), d))
         z = rng.uniform(-1.0, 2.0, size=(int(rng.integers(1, 30)), d))
         z[: min(3, len(z), len(x))] = x[: min(3, len(z), len(x))]  # zero distances
@@ -239,7 +239,7 @@ def test_fit_factors_the_frozen_gram():
         kernel = KernelParams(np.full(d, 0.3))
         state = fit(x, rng.standard_normal(t), kernel, 1e-6)
         gram = _frozen_kernel_matrix(x, x, kernel)
-        np.fill_diagonal(gram, kernel.signal_variance)
+        np.fill_diagonal(gram, 1.0)
         gram[np.diag_indices(t)] += 1e-6
         expected = np.linalg.cholesky(gram + state.jitter * np.eye(t))
         assert np.array_equal(state.chol, expected)
@@ -247,7 +247,6 @@ def test_fit_factors_the_frozen_gram():
 
 def test_cached_scaled_inputs_match_a_fresh_fit(monkeypatch):
     inputs, outputs, kernel, noise = random_dataset(7, max_t=12, min_t=8)
-    kernel = KernelParams(kernel.lengthscales, 2.5)
     state = fit(inputs[:0], outputs[:0], kernel, noise)
     for i in range(1, len(outputs) + 1):
         if i == 5:
@@ -267,11 +266,11 @@ def test_cached_scaled_inputs_match_a_fresh_fit(monkeypatch):
             assert np.array_equal(state.chol, fresh.chol)
 
 
-def _carry_case(seed, t, signal_variance=2.5):
+def _carry_case(seed, t):
     rng = np.random.default_rng(seed)
     inputs = rng.random((t + 8, 2))
     outputs = np.cos(3.0 * inputs).sum(axis=1)
-    kernel = KernelParams([0.2, 0.3], signal_variance)
+    kernel = KernelParams([0.2, 0.3])
     state = fit(inputs[:t], outputs[:t], kernel, 1e-4)
     return rng, inputs, outputs, state
 
@@ -290,7 +289,7 @@ def _solved_columns(monkeypatch):
 
 
 def test_carried_variances_match_a_fresh_solve(monkeypatch):
-    # Carried variances agree with a fresh solve to t * eps * signal variance,
+    # Carried variances agree with a fresh solve to t * eps * prior variance,
     # a tolerance fixed before the carry was written; means are the same bits.
     solved = _solved_columns(monkeypatch)
     rng, inputs, outputs, state = _carry_case(3, CARRY_MIN_COUNT + 40)
@@ -309,7 +308,7 @@ def test_carried_variances_match_a_fresh_solve(monkeypatch):
         assert solved == [11]
         fresh_mean, fresh_variance = posterior_predict_batch(state, batch)
         assert np.array_equal(mean, fresh_mean)
-        tolerance = state.count * np.finfo(float).eps * state.kernel.signal_variance
+        tolerance = state.count * np.finfo(float).eps
         assert np.max(np.abs(variance - fresh_variance)) <= tolerance
         probes = batch
 
@@ -357,7 +356,7 @@ def test_chol_reconstructs_noisy_gram():
     inputs, outputs, kernel, noise = random_dataset(42)
     state = fit(inputs, outputs, kernel, noise)
     gram = kernel_matrix(inputs, inputs, kernel)
-    np.fill_diagonal(gram, kernel.signal_variance)
+    np.fill_diagonal(gram, 1.0)
     gram += (noise + state.jitter) * np.eye(len(outputs))
     assert np.allclose(state.chol @ state.chol.T, gram, rtol=1e-8, atol=1e-12)
 
@@ -371,7 +370,7 @@ def test_noiseless_variance_never_grows_with_data(seed):
     inputs = rng.uniform(0.0, 1.0, size=(8, d))
     outputs = rng.standard_normal(8)
     queries = rng.uniform(0.0, 1.0, size=(5, d))
-    previous = np.full(5, kernel.signal_variance)
+    previous = np.ones(5)
     for t in range(1, 9):
         state = fit(inputs[:t], outputs[:t], kernel, 0.0)
         _, variance = posterior_predict_batch(state, queries)
@@ -397,7 +396,7 @@ def test_variance_bounded_by_prior():
     _, variance = posterior_predict_batch(
         state, rng.uniform(-1.0, 2.0, size=(50, inputs.shape[1]))
     )
-    assert np.all(variance <= kernel.signal_variance + 1e-8)
+    assert np.all(variance <= 1.0 + 1e-8)
     assert np.all(variance >= 0.0)
 
 

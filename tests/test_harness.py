@@ -241,8 +241,8 @@ def test_one_of_nine_arms_returning_nan_names_the_arm(monkeypatch):
 
     original = bo_module.acquisition_values
 
-    def nan_for_one_arm(specs, mean, sigma, counts, **kwargs):
-        values = original(specs, mean, sigma, counts=counts, **kwargs)
+    def nan_for_one_arm(rows, mean, sigma, counts):
+        values = original(rows, mean, sigma, counts=counts)
         ends = np.cumsum(counts)
         values[ends[4] - counts[4] : ends[4]] = np.nan
         return values

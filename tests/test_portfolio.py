@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pytest import approx
 
 from gphedge.gp import KernelParams, NumericsError, fit, posterior_mean, posterior_predict_batch
 from gphedge.portfolio import (
+    EXP3_GAMMA,
     PortfolioState,
     new_portfolio,
     observe,
@@ -19,13 +21,13 @@ from gphedge.portfolio import (
 )
 
 
-def hedge_state(gains, eta=None, **kw):
-    return PortfolioState(strategy="hedge", gains=np.asarray(gains, float), eta=eta, **kw)
+def hedge_state(gains, eta):
+    return PortfolioState(strategy="hedge", gains=np.asarray(gains, float), eta=eta)
 
 
 def test_zero_gains_are_uniform_for_every_strategy():
     for strategy in ("hedge", "exp3", "normalhedge", "uniform"):
-        state = new_portfolio(strategy, 4)
+        state = new_portfolio(strategy, 4, eta=1.0)
         assert probabilities(state) == approx(np.full(4, 0.25), abs=1e-15)
 
 
@@ -70,9 +72,9 @@ def test_hedge_concentrates_on_the_top_arm():
 
 
 def test_exp3_probability_floor():
-    state = PortfolioState(strategy="exp3", gains=np.array([50.0, 0.0, -3.0]), eta=1.0, exp3_gamma=0.1)
+    state = PortfolioState(strategy="exp3", gains=np.array([50.0, 0.0, -3.0]), eta=1.0)
     p = probabilities(state)
-    assert np.all(p >= 0.1 / 3)
+    assert np.all(p >= EXP3_GAMMA / 3)
 
 
 def test_select_arm_is_deterministic_and_matches_frequencies():
@@ -87,7 +89,7 @@ def test_select_arm_is_deterministic_and_matches_frequencies():
 
 
 def test_uniform_selection_frequencies_within_binomial_noise():
-    state = new_portfolio("uniform", 5)
+    state = new_portfolio("uniform", 5, eta=1.0)
     rng = np.random.default_rng(4)
     picks = np.array([select_arm(state, rng) for _ in range(10_000)])
     freq = np.bincount(picks, minlength=5) / picks.size
@@ -96,7 +98,7 @@ def test_uniform_selection_frequencies_within_binomial_noise():
 
 
 def test_update_hedge_accumulates_and_validates():
-    state = new_portfolio("hedge", 3)
+    state = new_portfolio("hedge", 3, eta=1.0)
     state = update_hedge(state, [0.1, 0.2, 0.3])
     state = update_hedge(state, [0.0, 1.0, 0.0])
     assert state.gains == approx([0.1, 1.2, 0.3])
@@ -109,7 +111,7 @@ def test_update_hedge_accumulates_and_validates():
 
 def test_update_exp3_importance_weights_by_sampling_probability():
     state = PortfolioState(strategy="exp3", gains=np.array([0.4, 0.1]), eta=0.5)
-    eta, gamma = 0.5, state.exp3_gamma
+    eta, gamma = 0.5, EXP3_GAMMA
     weights = np.exp(eta * (state.gains - state.gains.max()))
     p = (1.0 - gamma) * weights / weights.sum() + gamma / 2
     assert np.array_equal(p, probabilities(state))
@@ -134,7 +136,7 @@ def test_exp3_finishes_every_synthetic_reward_stream():
             state = observe(state, means + 0.1 * rng.standard_normal(n), chosen)
         assert state.t == horizon
         assert np.all(np.isfinite(state.gains))
-        assert np.all(probabilities(state) >= state.exp3_gamma / n)
+        assert np.all(probabilities(state) >= EXP3_GAMMA / n)
 
 
 def test_update_exp3_overflow_is_a_typed_error():
@@ -144,7 +146,7 @@ def test_update_exp3_overflow_is_a_typed_error():
 
 
 def test_update_normalhedge_tracks_relative_regret():
-    state = new_portfolio("normalhedge", 3)
+    state = new_portfolio("normalhedge", 3, eta=1.0)
     state = update_normalhedge(state, [0.9, 0.5, 0.1], chosen=1)
     assert state.nh_regrets == approx([0.4, 0.0, -0.4])
     state = update_normalhedge(state, [0.0, 0.0, 1.0], chosen=2)
@@ -157,6 +159,7 @@ def test_normalhedge_prefers_high_regret_arms():
     state = PortfolioState(
         strategy="normalhedge",
         gains=np.zeros(4),
+        eta=1.0,
         nh_regrets=np.array([2.0, 0.5, 0.0, -1.0]),
     )
     p = probabilities(state)
@@ -167,7 +170,9 @@ def test_normalhedge_prefers_high_regret_arms():
 
 def test_normalhedge_potential_is_calibrated():
     regrets = np.array([3.0, 1.0, 0.0, 0.2, -2.0])
-    state = PortfolioState(strategy="normalhedge", gains=np.zeros(5), nh_regrets=regrets)
+    state = PortfolioState(
+        strategy="normalhedge", gains=np.zeros(5), eta=1.0, nh_regrets=regrets
+    )
     probabilities(state)  # exercises the line search
     positive = np.maximum(regrets, 0.0)
     # Recover c by bisection as the production code does, then check the
@@ -215,33 +220,37 @@ def test_observe_raw_mode_keeps_reward_scale():
 
 
 def test_hedge_regret_bound_on_adversarial_streams():
-    # Small-scale version of the acceptance criterion: expected Hedge gain
-    # trails the best arm by at most 2 sqrt(2 T ln N).
+    # Small-scale version of the acceptance criterion: at bo.run's
+    # eta = sqrt(8 ln N / T), expected Hedge gain trails the best arm by at
+    # most sqrt(T ln N / 2).
     n, horizon = 9, 1000
+    eta = math.sqrt(8.0 * math.log(n) / horizon)
     rng = np.random.default_rng(99)
     for _ in range(5):
         rewards = rng.uniform(0.0, 1.0, size=(horizon, n))
         rewards[:, 2] = np.where(np.arange(horizon) % 37 < 18, 1.0, 0.0)
-        state = new_portfolio("hedge", n, rescale=False)
+        state = new_portfolio("hedge", n, eta=eta, rescale=False)
         hedge_gain = 0.0
         for t in range(horizon):
             hedge_gain += float(probabilities(state) @ rewards[t])
             state = update_hedge(state, rewards[t])
-        bound = 2.0 * math.sqrt(2.0 * horizon * math.log(n))
+        bound = math.sqrt(horizon * math.log(n) / 2.0)
         assert state.gains.max() - hedge_gain <= bound
 
 
 def test_time_varying_eta_keeps_probability_invariants():
-    state = new_portfolio("hedge", 6)
+    # The horizon-free rate sqrt(8 ln N / t), passed round by round.
+    state = new_portfolio("hedge", 6, eta=1.0)
     rng = np.random.default_rng(8)
     for _ in range(200):
+        state = replace(state, eta=math.sqrt(8.0 * math.log(6) / max(state.t, 1)))
         p = probabilities(state)
         assert abs(p.sum() - 1.0) < 1e-12 and np.all(p >= 0.0)
         state = update_hedge(state, rng.uniform(0.0, 1.0, size=6))
 
 
 def test_rigged_rewards_raise_the_dominant_arm_probability():
-    state = new_portfolio("hedge", 3)
+    state = new_portfolio("hedge", 3, eta=math.sqrt(8.0 * math.log(3) / 30))
     rng = np.random.default_rng(2)
     for _ in range(30):
         rewards = rng.uniform(0.0, 0.3, size=3)
@@ -268,10 +277,8 @@ def test_reward_signal_is_the_posterior_mean_at_the_nominee():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        PortfolioState(strategy="thompson", gains=np.zeros(2))
+        PortfolioState(strategy="thompson", gains=np.zeros(2), eta=1.0)
     with pytest.raises(ValueError):
-        PortfolioState(strategy="hedge", gains=np.zeros((2, 2)))
+        PortfolioState(strategy="hedge", gains=np.zeros((2, 2)), eta=1.0)
     with pytest.raises(ValueError):
-        PortfolioState(strategy="exp3", gains=np.zeros(2), exp3_gamma=0.0)
-    with pytest.raises(ValueError):
-        update_exp3(new_portfolio("exp3", 3), chosen=3, reward=0.1)
+        update_exp3(new_portfolio("exp3", 3, eta=1.0), chosen=3, reward=0.1)
