@@ -421,7 +421,7 @@ def emit(table: ResultTable, output_dir=None) -> dict[str, Path]:
         "paired_initial_designs": True,
         "calibration": {
             "lengthscales": table.calibration.kernel.lengthscales.tolist(),
-            "signal_variance": 1.0,  # the kernel's, fixed
+            "signal_variance": 1.0,  # gp.KernelParams has unit signal variance
             "output_mean": table.calibration.output_mean,
             "output_scale": table.calibration.output_scale,
             "noise_variance": table.calibration.noise_variance,
